@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config as cfg_mod
 from .data import SyntheticSpec, generate_synthetic, ingest, split, \
-    write_interactions, write_labels, write_split_manifest
+    write_atomic, write_interactions, write_labels, write_split_manifest
 from .diagnostics import diagnose, export_embeddings
 from .diagnostics import report_record as diag_record
 from .evaluation import evaluate_split, report_record, report_text, \
@@ -31,13 +31,6 @@ def _run_dir(cfg):
     path = os.path.join(root, cfg.output_dir)
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def _write_text(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _load_cfg(args):
@@ -79,7 +72,7 @@ def _checked_params(path, cfg, num_items):
 def cmd_train(args):
     cfg = _load_cfg(args)
     run = _run_dir(cfg)
-    _write_text(os.path.join(run, "resolved_train.cfg"), cfg_mod.render(cfg))
+    write_atomic(os.path.join(run, "resolved_train.cfg"), cfg_mod.render(cfg))
     log, sp = _load_dataset(cfg)
     hp = cfg.hyperparams()
     params = ModelParams.init(len(log.item_tokens), hp,
@@ -113,8 +106,8 @@ def cmd_eval(args):
         checkpoint=_file_hash(ckpt),
     )
     text = report_text(report) + record + "\n"
-    _write_text(os.path.join(run, "eval.txt"), text)
-    _write_text(os.path.join(run, "resolved_eval.cfg"), cfg_mod.render(cfg))
+    write_atomic(os.path.join(run, "eval.txt"), text)
+    write_atomic(os.path.join(run, "resolved_eval.cfg"), cfg_mod.render(cfg))
     print(text, end="")
     return 0
 
@@ -143,8 +136,8 @@ def cmd_diagnose(args):
     record = (diag_record(report) +
               f" checkpoint={_file_hash(ckpt)}"
               f" config_hash={cfg_mod.config_hash(cfg)}")
-    _write_text(os.path.join(run, "diagnostics.txt"), record + "\n")
-    _write_text(os.path.join(run, "resolved_diagnose.cfg"), cfg_mod.render(cfg))
+    write_atomic(os.path.join(run, "diagnostics.txt"), record + "\n")
+    write_atomic(os.path.join(run, "resolved_diagnose.cfg"), cfg_mod.render(cfg))
     print(record)
     return 0
 
@@ -164,7 +157,7 @@ def cmd_synth(args):
     write_interactions(log, data_path)
     write_labels(labels, log.item_tokens, os.path.join(out, "labels.tsv"))
     spec_lines = "".join(f"{k} = {v}\n" for k, v in sorted(vars(spec).items()))
-    _write_text(os.path.join(out, "synth.cfg"), spec_lines)
+    write_atomic(os.path.join(out, "synth.cfg"), spec_lines)
     print(f"wrote {data_path} ({log.user_ids.shape[0]} interactions, "
           f"{len(log.user_tokens)} users, {len(log.item_tokens)} items)")
     return 0

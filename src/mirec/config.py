@@ -29,6 +29,13 @@ def _as_opt_int(s):
     return int(s)
 
 
+def _as_diag_init(s):
+    s = str(s).strip()
+    if s not in ("kmeanspp", "user_interests"):
+        raise ValueError(f"expected kmeanspp or user_interests, got {s!r}")
+    return s
+
+
 def _as_threshold(s):
     s = str(s).strip()
     if s == "adaptive":
@@ -74,31 +81,17 @@ class RunConfig:
     diag_k: object = None
     diag_init: str = "kmeanspp"
 
+    def _build(self, cls, **extra):
+        """cls built from this config's same-named fields, plus `extra`."""
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in extra}
+        return cls(**shared, **extra)
+
     def hyperparams(self):
-        return HyperParams(
-            embed_dim=self.embed_dim,
-            att_hidden_dim=self.att_hidden_dim,
-            recon_hidden_dim=self.recon_hidden_dim,
-            num_interests=self.num_interests,
-            max_seq_len=self.max_seq_len,
-            temperature=self.temperature,
-            pos_threshold=self.pos_threshold,
-            lambda_contrast=self.lambda_cl,
-            lambda_attend=self.lambda_att,
-            lambda_reconstruct=self.lambda_ct,
-            num_rec_negatives=self.num_rec_negatives,
-            num_seq_negatives=self.num_seq_negatives,
-            logq_correction=self.logq_correction,
-        )
+        return self._build(HyperParams)
 
     def train_config(self, checkpoint_path="", log_path=""):
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size, seed=self.seed,
-            eval_every=self.eval_every, patience=self.patience,
-            checkpoint_path=checkpoint_path, log_path=log_path,
-            lr=self.lr, weight_decay=self.weight_decay,
-            clip_norm=self.clip_norm,
-        )
+        return self._build(TrainConfig, checkpoint_path=checkpoint_path,
+                           log_path=log_path)
 
     def split_kwargs(self):
         return dict(
@@ -153,7 +146,7 @@ _CASTERS = {
     "clip_norm": float,
     "cutoffs": str,
     "diag_k": _as_opt_int,
-    "diag_init": str,
+    "diag_init": _as_diag_init,
 }
 
 

@@ -7,6 +7,7 @@ pair so retrieval is scored on unseen suffixes.
 """
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,21 +133,13 @@ def write_interactions(log, path, fmt=None):
             writer.writerow([log.user_tokens[u], log.item_tokens[i], int(t)])
 
 
-def write_index_maps(log, prefix):
-    """Persist token -> dense index maps as two-column text files."""
-    for kind, tokens in (("users", log.user_tokens), ("items", log.item_tokens)):
-        with open(f"{prefix}.{kind}.map", "w") as f:
-            for idx, tok in enumerate(tokens):
-                f.write(f"{tok}\t{idx}\n")
-
-
-def read_index_map(path):
-    mapping = {}
-    with open(path) as f:
-        for line in f:
-            tok, idx = line.rstrip("\n").split("\t")
-            mapping[tok] = int(idx)
-    return mapping
+def write_atomic(path, data):
+    """Write str (as UTF-8) or bytes to a temp file beside path, then rename it
+    over path, so readers see the old file or the new one, never a partial one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+    os.replace(tmp, path)
 
 
 def user_sequences(log):
@@ -199,46 +192,6 @@ def write_split_manifest(split_result, path):
                            ("test", split_result.test)):
             for u in users:
                 f.write(f"{u}\t{tag}\n")
-
-
-def kcore_filter(log, k=10):
-    """Iteratively drop users and items with fewer than k interactions.
-
-    Returns a re-indexed InteractionLog (tokens preserved, dense ids reassigned
-    by first appearance among surviving rows).
-    """
-    users, items, stamps = log.user_ids, log.item_ids, log.timestamps
-    keep = np.ones(len(users), dtype=bool)
-    while True:
-        u_counts = np.bincount(users[keep], minlength=log.num_users)
-        i_counts = np.bincount(items[keep], minlength=log.num_items)
-        bad = keep & ((u_counts[users] < k) | (i_counts[items] < k))
-        if not bad.any():
-            break
-        keep &= ~bad
-    if not keep.any():
-        raise ValueError(f"{k}-core filtering removed every interaction")
-    user_index, item_index = {}, {}
-    user_tokens, item_tokens = [], []
-    new_users, new_items = [], []
-    for pos in np.flatnonzero(keep):
-        ut = log.user_tokens[users[pos]]
-        it = log.item_tokens[items[pos]]
-        if ut not in user_index:
-            user_index[ut] = len(user_tokens)
-            user_tokens.append(ut)
-        if it not in item_index:
-            item_index[it] = len(item_tokens)
-            item_tokens.append(it)
-        new_users.append(user_index[ut])
-        new_items.append(item_index[it])
-    return InteractionLog(
-        user_ids=np.array(new_users, dtype=np.int64),
-        item_ids=np.array(new_items, dtype=np.int64),
-        timestamps=stamps[keep].copy(),
-        user_tokens=user_tokens,
-        item_tokens=item_tokens,
-    )
 
 
 def generate_synthetic(spec):

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradcore import Tensor
-from .losses import select_positives
-from .model import BehaviorSequence, embed, extract_interests
+from . import model
+from .losses import select_positives_batch
 
 
 @dataclass
@@ -40,10 +39,6 @@ class DiagnosticsReport:
     init_mode: str
     users: int
     skipped_interests: int
-
-
-def _values(x):
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def _assign(vectors, centroids):
@@ -97,7 +92,7 @@ def kmeans(vectors, k, init_mode="kmeanspp", seed=0, max_iter=100,
     distances to be non-negative before squaring; "user_interests" seeds the
     centroids with the given vectors (typically a user's interest vectors).
     """
-    v = np.asarray(_values(vectors), dtype=np.float64)
+    v = np.asarray(vectors, dtype=np.float64)
     n = v.shape[0]
     if k < 2:
         raise ValueError(f"need at least 2 clusters, got k={k}")
@@ -109,7 +104,7 @@ def kmeans(vectors, k, init_mode="kmeanspp", seed=0, max_iter=100,
     elif init_mode == "user_interests":
         if init_centroids is None:
             raise ValueError("user_interests init requires init_centroids")
-        centroids = np.asarray(_values(init_centroids), dtype=np.float64).copy()
+        centroids = np.array(init_centroids, dtype=np.float64)
         if centroids.shape != (k, v.shape[1]):
             raise ValueError(f"init_centroids shape {centroids.shape} does not "
                              f"match (k={k}, d={v.shape[1]})")
@@ -180,14 +175,13 @@ def intra_score(per_user_labels, num_interests):
 
 def _user_vectors(params, profile, holdout, hp):
     """Interests, attention positives, and the distinct item ids to cluster."""
-    seq = BehaviorSequence.from_items(0, profile, hp.max_seq_len)
-    x = embed(seq, params)
-    iset = extract_interests(x, seq.mask, params)
-    sets = select_positives(iset.attention, seq.mask, hp.pos_threshold)
-    window = seq.item_ids[seq.mask]
-    pos_items = [np.unique(window[pos]).tolist() for pos in sets.positives]
+    ids, mask = model.pad_sequences([profile], hp.max_seq_len)
+    x_emb = model.embed_batch(ids, mask, params)
+    interests, attention = model.interest_forward(x_emb, mask, params)
+    pos_mask, _ = select_positives_batch(attention.value, mask, hp.pos_threshold)
+    pos_items = [np.unique(ids[0, pos]).tolist() for pos in pos_mask[0]]
     item_ids = sorted(set(profile) | set(holdout))
-    return iset.interests.value, pos_items, item_ids
+    return interests.value[0], pos_items, item_ids
 
 
 def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
@@ -256,7 +250,7 @@ def export_embeddings(params, user_interests, item_ids, path):
     rows = 0
     with open(path, "w", encoding="utf-8") as fh:
         for user in sorted(user_interests):
-            z = _values(user_interests[user])
+            z = user_interests[user]
             for k in range(z.shape[0]):
                 vec = "\t".join(f"{x:.17g}" for x in z[k])
                 fh.write(f"interest\t{user}\t{k}\t{vec}\n")

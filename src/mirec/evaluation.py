@@ -1,19 +1,17 @@
 """Retrieval and ranking metrics.
 
 An item's relevance to a user is the max dot product over the user's interest
-vectors. Retrieval scores the full catalog exactly (a blocked variant exists
-for memory-bound runs and is result-identical). Metrics follow the
-recalled-positives convention for NDCG: the ideal ranking places the h items
-actually recalled at the top, so NDCG is 1 whenever the hits are consecutive
-from rank 1.
+vectors. Retrieval scores the full catalog exactly, one user at a time, with
+ties broken by lower item id. Metrics follow the recalled-positives
+convention for NDCG: the ideal ranking places the h items actually recalled
+at the top, so NDCG is 1 whenever the hits are consecutive from rank 1.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gradcore import Tensor
-from .model import BehaviorSequence, embed, extract_interests
+from . import model
 
 
 @dataclass
@@ -34,15 +32,9 @@ class EvalReport:
     averaged_over: str = "users"
 
 
-def _values(x):
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
 def max_interest_scores(interests, item_emb):
     """Per-item relevance: max over interests of the dot product."""
-    z = _values(interests)
-    emb = _values(item_emb)
-    return (emb @ z.T).max(axis=1)
+    return (item_emb @ interests.T).max(axis=1)
 
 
 def _rank_all(scores):
@@ -68,38 +60,6 @@ def retrieve_topn(interests, item_emb, n, exclude=()):
     take = min(n, available)
     top = order[:take]
     return Ranking(item_ids=top, scores=scores[top], truncated=take < n)
-
-
-def retrieve_topn_blocked(interests, item_emb, n, exclude=(), block_size=4096):
-    """Same result as retrieve_topn, scoring the catalog in blocks."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    z = _values(interests)
-    emb = _values(item_emb)
-    num_items = emb.shape[0]
-    exclude_mask = np.zeros(num_items, dtype=bool)
-    excl = np.asarray(list(exclude), dtype=np.int64)
-    if excl.size:
-        exclude_mask[excl] = True
-    kept_ids, kept_scores = [], []
-    for start in range(0, num_items, block_size):
-        stop = min(start + block_size, num_items)
-        block_scores = (emb[start:stop] @ z.T).max(axis=1)
-        block_scores[exclude_mask[start:stop]] = -np.inf
-        ids = np.arange(start, stop)
-        take = min(n, stop - start)
-        order = np.lexsort((ids, -block_scores))[:take]
-        kept_ids.append(ids[order])
-        kept_scores.append(block_scores[order])
-    ids = np.concatenate(kept_ids)
-    scores = np.concatenate(kept_scores)
-    finite = scores > -np.inf
-    ids, scores = ids[finite], scores[finite]
-    order = np.lexsort((ids, -scores))
-    available = num_items - int(exclude_mask.sum())
-    take = min(n, available)
-    top = order[:take]
-    return Ranking(item_ids=ids[top], scores=scores[top], truncated=take < n)
 
 
 def _hit_ranks(topn_ids, relevant):
@@ -158,13 +118,15 @@ def metric_hitrate(rankings, relevants):
 
 
 def user_interests_for_profile(profile_items, params, max_seq_len):
-    """Interest vectors for a profile, truncated to the last max_seq_len items."""
-    seq = BehaviorSequence.from_items(0, profile_items, max_seq_len)
-    x = embed(seq, params)
-    return extract_interests(x, seq.mask, params).interests.value
+    """(num_interests, d) interest vectors for a profile, truncated to the last
+    max_seq_len items; the batched extractor at B=1."""
+    ids, mask = model.pad_sequences([profile_items], max_seq_len)
+    x_emb = model.embed_batch(ids, mask, params)
+    interests, _ = model.interest_forward(x_emb, mask, params)
+    return interests.value[0]
 
 
-def evaluate_split(params, part, hp, cutoffs=(20, 50), blocked=False):
+def evaluate_split(params, part, hp, cutoffs=(20, 50)):
     """Score every (profile, holdout) user in a split part.
 
     Candidates exclude all profile items; holdout items that also occur in
@@ -175,12 +137,11 @@ def evaluate_split(params, part, hp, cutoffs=(20, 50), blocked=False):
     if not cutoffs or cutoffs[0] < 1:
         raise ValueError(f"cutoffs must be positive, got {cutoffs}")
     n_max = cutoffs[-1]
-    retrieve = retrieve_topn_blocked if blocked else retrieve_topn
     rankings, relevants = [], []
     for user in sorted(part):
         profile, holdout = part[user]
         z = user_interests_for_profile(profile, params, hp.max_seq_len)
-        ranking = retrieve(z, params.item_emb, n_max, exclude=set(profile))
+        ranking = retrieve_topn(z, params.item_emb.value, n_max, exclude=set(profile))
         rankings.append(ranking.item_ids)
         relevants.append(set(holdout) - set(profile))
     recall, ndcg, hitrate = {}, {}, {}

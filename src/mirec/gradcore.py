@@ -184,16 +184,6 @@ def matmul(a, b):
     return _record(out, (a, b), vjp)
 
 
-def matvec(m, v):
-    """2-D matrix times 1-D vector."""
-    m, v = _wrap(m), _wrap(v)
-    if m.value.ndim != 2 or v.value.ndim != 1 or m.value.shape[1] != v.value.shape[0]:
-        raise ValueError(f"matvec shape mismatch: matrix {m.value.shape}, vector {v.value.shape}")
-    out = Tensor(m.value @ v.value)
-    mv, vv = m.value, v.value
-    return _record(out, (m, v), lambda g: (np.outer(g, vv), mv.T @ g))
-
-
 def tanh(a):
     a = _wrap(a)
     out = Tensor(np.tanh(a.value))

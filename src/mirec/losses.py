@@ -1,16 +1,16 @@
 """The four training objectives.
 
-loss_rec is a sampled-softmax next-item likelihood on the interest closest to
-the target. The three regularizers run "backward" from extracted interests to
-the sequence: loss_recontrast pulls each interest toward its high-attention
-items and away from everything else (InfoNCE), loss_reattend aligns
-dot-product relevance with the extractor's attention map, and
-loss_reconstruct decodes each interest back into its positive items.
+rec_batch is a sampled-softmax next-item likelihood on the interest closest
+to the target. The three regularizers run "backward" from extracted interests
+to the sequence: recontrast_batch pulls each interest toward its
+high-attention items and away from everything else (InfoNCE), reattend_batch
+aligns dot-product relevance with the extractor's attention map, and
+reconstruct_batch decodes each interest back into its positive items.
 
-Per-example functions return per-example sums; compute_batch_losses runs the
-batched graph and returns batch means. Discrete selectors (positive sets, the
-argmax interest, sampled negative ids) are chosen from current values and
-treated as constants by the gradient.
+Every loss takes (B, ...) batches and returns the sum over the batch;
+compute_batch_losses runs the whole graph and returns batch means. Discrete
+selectors (positive masks, the argmax interest, sampled negative ids) are
+chosen from current values and treated as constants by the gradient.
 """
 
 from dataclasses import dataclass
@@ -18,22 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore as gc
-from .gradcore import Tensor
-from .model import interest_forward
-
-
-@dataclass
-class ContrastSets:
-    """Per-interest index sets for the contrastive loss.
-
-    positives[k] and seq_negatives[k] partition the valid sequence positions;
-    out_seq_items rows (one per interest) are sampled item ids that never
-    appear in the sequence. Other interests are implicit negatives.
-    """
-
-    positives: list
-    seq_negatives: list
-    out_seq_items: np.ndarray | None = None
+from .model import embed_batch, interest_forward
 
 
 @dataclass
@@ -43,15 +28,6 @@ class LossBundle:
     attend: float
     reconstruct: float
     total: float
-
-
-def resolve_pos_threshold(pos_threshold, valid_len):
-    """Fixed value pass-through; "adaptive" means 1/L for the example's valid length."""
-    if pos_threshold == "adaptive":
-        if valid_len < 1:
-            raise ValueError("adaptive threshold needs at least one valid position")
-        return 1.0 / float(valid_len)
-    return float(pos_threshold)
 
 
 def select_positives_batch(att_values, mask, pos_threshold):
@@ -68,17 +44,6 @@ def select_positives_batch(att_values, mask, pos_threshold):
     pos_mask = (att_values > thr) & valid
     neg_mask = valid & ~pos_mask
     return pos_mask, neg_mask
-
-
-def select_positives(attention, mask, pos_threshold):
-    """Split one example's valid positions into positives (weight above the
-    threshold, strictly) and in-sequence negatives, per interest."""
-    att = attention.value if isinstance(attention, Tensor) else np.asarray(attention)
-    pos_mask, neg_mask = select_positives_batch(att[None], np.asarray(mask, bool)[None],
-                                                pos_threshold)
-    positives = [np.flatnonzero(pos_mask[0, k]) for k in range(att.shape[0])]
-    seq_negatives = [np.flatnonzero(neg_mask[0, k]) for k in range(att.shape[0])]
-    return ContrastSets(positives=positives, seq_negatives=seq_negatives)
 
 
 def sample_out_of_seq_batch(item_ids, mask, num_items, num_interests, sizes, rng,
@@ -178,27 +143,6 @@ def recontrast_batch(interests, x_emb, pos_mask, neg_mask, sampled_emb, sampled_
     return gc.tsum(per_pos * pos_mask.astype(np.float64))
 
 
-def loss_recontrast(interests, x_emb, sets, sampled_emb, temperature):
-    """Per-example contrastive loss from explicit index sets."""
-    n_z, d = interests.value.shape
-    n_x = x_emb.value.shape[0]
-    pos_mask = np.zeros((1, n_z, n_x), dtype=bool)
-    neg_mask = np.zeros((1, n_z, n_x), dtype=bool)
-    for k in range(n_z):
-        pos_mask[0, k, np.asarray(sets.positives[k], dtype=np.int64)] = True
-        neg_mask[0, k, np.asarray(sets.seq_negatives[k], dtype=np.int64)] = True
-    if sampled_emb is None:
-        samp, smask = None, None
-    else:
-        s = sampled_emb.value.shape[1]
-        samp = gc.reshape(sampled_emb, (1, n_z, s, d))
-        smask = np.ones((1, n_z, s), dtype=bool)
-    return recontrast_batch(
-        gc.reshape(interests, (1, n_z, d)), gc.reshape(x_emb, (1, n_x, d)),
-        pos_mask, neg_mask, samp, smask, temperature,
-    )
-
-
 def reattend_batch(attention, interests, x_emb, mask):
     """Sum over the batch of cross-entropy between the attention map (fixed
     target) and softmaxed dot-product relevance over valid positions."""
@@ -208,16 +152,6 @@ def reattend_batch(attention, interests, x_emb, mask):
     log_probs = logits - gc.masked_logsumexp(logits, valid, axis=-1, keepdims=True)
     target = gc.stop_grad(attention)
     return gc.neg(gc.tsum(target * (log_probs * valid.astype(np.float64))))
-
-
-def loss_reattend(attention, interests, x_emb, mask):
-    """Per-example attention-consistency loss."""
-    n_z, n_x = attention.value.shape
-    d = x_emb.value.shape[1]
-    return reattend_batch(
-        gc.reshape(attention, (1, n_z, n_x)), gc.reshape(interests, (1, n_z, d)),
-        gc.reshape(x_emb, (1, n_x, d)), np.asarray(mask, bool)[None, :],
-    )
 
 
 def reconstruct_batch(interests, x_emb, pos_mask, params):
@@ -242,30 +176,11 @@ def reconstruct_batch(interests, x_emb, pos_mask, params):
     return gc.tsum(sq_err * pos_mask.astype(np.float64))
 
 
-def loss_reconstruct(interests, x_emb, sets, params):
-    """Per-example reconstruction loss on the positive sets."""
-    n_z, d = interests.value.shape
-    n_x = x_emb.value.shape[0]
-    pos_mask = np.zeros((1, n_z, n_x), dtype=bool)
-    for k in range(n_z):
-        pos_mask[0, k, np.asarray(sets.positives[k], dtype=np.int64)] = True
-    return reconstruct_batch(
-        gc.reshape(interests, (1, n_z, d)), gc.reshape(x_emb, (1, n_x, d)),
-        pos_mask, params,
-    )
-
-
 def select_interest_batch(interest_values, target_values):
     """Index of the interest with max dot product to the target; ties take the
     lowest index. Plain values, no gradient."""
     scores = np.einsum("bkd,bd->bk", interest_values, target_values)
     return np.argmax(scores, axis=1)
-
-
-def select_interest(interests, target):
-    iv = interests.value if isinstance(interests, Tensor) else np.asarray(interests)
-    tv = target.value if isinstance(target, Tensor) else np.asarray(target)
-    return int(select_interest_batch(iv[None], tv[None])[0])
 
 
 def rec_batch(interests, target_emb, neg_emb, selected=None, logq_num_items=None):
@@ -283,7 +198,7 @@ def rec_batch(interests, target_emb, neg_emb, selected=None, logq_num_items=None
     pos_logit = gc.tsum(z_hat * target_emb, axis=-1)  # (B,)
     s = neg_emb.value.shape[1]
     if s < 1:
-        raise ValueError("loss_rec needs at least one sampled negative")
+        raise ValueError("rec_batch needs at least one sampled negative")
     neg_logits = gc.reshape(gc.matmul(neg_emb, gc.reshape(z_hat, (b, d, 1))), (b, s))
     if logq_num_items is not None:
         neg_logits = neg_logits - np.log(s / float(logq_num_items))
@@ -291,22 +206,11 @@ def rec_batch(interests, target_emb, neg_emb, selected=None, logq_num_items=None
     return gc.tsum(gc.logsumexp(all_logits, axis=1) - pos_logit)
 
 
-def loss_rec(interests, target_emb, neg_emb, selected=None, logq_num_items=None):
-    """Per-example sampled-softmax loss."""
-    n_z, d = interests.value.shape
-    s = neg_emb.value.shape[0]
-    sel = None if selected is None else np.array([selected])
-    return rec_batch(
-        gc.reshape(interests, (1, n_z, d)), gc.reshape(target_emb, (1, d)),
-        gc.reshape(neg_emb, (1, s, d)), selected=sel, logq_num_items=logq_num_items,
-    )
-
-
 def combine(rec, contrast, attend, reconstruct, hp):
     """Weight the four losses into the training total; None means inactive (0)."""
     total = rec
-    for term, lam in ((contrast, hp.lambda_contrast), (attend, hp.lambda_attend),
-                      (reconstruct, hp.lambda_reconstruct)):
+    for term, lam in ((contrast, hp.lambda_cl), (attend, hp.lambda_att),
+                      (reconstruct, hp.lambda_ct)):
         if term is not None and lam != 0.0:
             total = total + term * lam
 
@@ -333,16 +237,15 @@ def compute_batch_losses(item_ids, mask, target_ids, params, hp, rng):
     target_ids = np.asarray(target_ids, dtype=np.int64)
     b = item_ids.shape[0]
     num_items = params.num_items
-    mask_f = mask.astype(np.float64)
 
-    x_emb = gc.gather_rows(params.item_emb, item_ids) * mask_f[:, :, None]
+    x_emb = embed_batch(item_ids, mask, params)
     interests, attention = interest_forward(x_emb, mask, params)
 
-    need_sets = hp.lambda_contrast != 0.0 or hp.lambda_reconstruct != 0.0
+    need_sets = hp.lambda_cl != 0.0 or hp.lambda_ct != 0.0
     contrast_sum = attend_sum = reconstruct_sum = None
     if need_sets:
         pos_mask, neg_mask = select_positives_batch(attention.value, mask, hp.pos_threshold)
-    if hp.lambda_contrast != 0.0:
+    if hp.lambda_cl != 0.0:
         sizes = (np.full(b, hp.num_seq_negatives, dtype=np.int64)
                  if hp.num_seq_negatives is not None else mask.sum(axis=1))
         samp_ids, samp_mask = sample_out_of_seq_batch(
@@ -350,9 +253,9 @@ def compute_batch_losses(item_ids, mask, target_ids, params, hp, rng):
         samp_emb = gc.gather_rows(params.item_emb, samp_ids)
         contrast_sum = recontrast_batch(interests, x_emb, pos_mask, neg_mask,
                                         samp_emb, samp_mask, hp.temperature)
-    if hp.lambda_attend != 0.0:
+    if hp.lambda_att != 0.0:
         attend_sum = reattend_batch(attention, interests, x_emb, mask)
-    if hp.lambda_reconstruct != 0.0:
+    if hp.lambda_ct != 0.0:
         reconstruct_sum = reconstruct_batch(interests, x_emb, pos_mask, params)
 
     neg_ids = rng.integers(0, num_items, size=(b, hp.num_rec_negatives))

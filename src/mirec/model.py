@@ -1,9 +1,10 @@
 """Item embeddings and the multi-interest extractor.
 
-A user's behavior sequence is embedded, pushed through a small tanh attention
-network with one query vector per interest, and pooled into `num_interests`
-interest vectors. All forward math runs through gradcore so the same code
-serves training (taped) and inference (untaped).
+Behavior sequences are padded into (B, max_seq_len) id and mask arrays,
+embedded, pushed through a small tanh attention network with one query vector
+per interest, and pooled into `num_interests` interest vectors. Training,
+evaluation and diagnostics all run this one batched path; it is taped while
+training and plain numpy otherwise.
 """
 
 import struct
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore as gc
+from .data import write_atomic
 from .gradcore import Tensor
 
 CHECKPOINT_MAGIC = b"MIRECKPT"
@@ -27,9 +29,9 @@ class HyperParams:
     max_seq_len: int = 20
     temperature: float = 0.02
     pos_threshold: float | str = "adaptive"
-    lambda_contrast: float = 0.0
-    lambda_attend: float = 0.0
-    lambda_reconstruct: float = 0.0
+    lambda_cl: float = 0.0  # re-contrast weight
+    lambda_att: float = 0.0  # re-attend weight
+    lambda_ct: float = 0.0  # re-construct weight
     num_rec_negatives: int = 128
     num_seq_negatives: int | None = None
     logq_correction: bool = False
@@ -43,50 +45,11 @@ class HyperParams:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.pos_threshold != "adaptive" and not (0.0 < float(self.pos_threshold) < 1.0):
             raise ValueError(f"pos_threshold must be in (0,1) or 'adaptive', got {self.pos_threshold}")
-        for name in ("lambda_contrast", "lambda_attend", "lambda_reconstruct"):
+        for name in ("lambda_cl", "lambda_att", "lambda_ct"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.num_rec_negatives < 1:
             raise ValueError(f"num_rec_negatives must be >= 1, got {self.num_rec_negatives}")
-
-
-@dataclass
-class BehaviorSequence:
-    """One user's interaction history, left-aligned and padded to max_seq_len."""
-
-    user_id: int
-    item_ids: np.ndarray  # (max_seq_len,) int64, zeros past the valid prefix
-    mask: np.ndarray  # (max_seq_len,) bool
-
-    @classmethod
-    def from_items(cls, user_id, items, max_seq_len):
-        """Build from a chronological item list, keeping the last max_seq_len items."""
-        items = list(items)
-        if not items:
-            raise ValueError(f"user {user_id}: empty behavior sequence")
-        items = items[-max_seq_len:]
-        ids = np.zeros(max_seq_len, dtype=np.int64)
-        mask = np.zeros(max_seq_len, dtype=bool)
-        ids[: len(items)] = items
-        mask[: len(items)] = True
-        return cls(user_id=user_id, item_ids=ids, mask=mask)
-
-    @property
-    def length(self):
-        return int(self.mask.sum())
-
-
-@dataclass
-class InterestSet:
-    """Extractor output for one sequence.
-
-    interests holds one row per interest (num_interests x embed_dim);
-    attention holds the weights over sequence positions (num_interests x
-    max_seq_len), zero at padded positions.
-    """
-
-    interests: Tensor
-    attention: Tensor
 
 
 @dataclass
@@ -160,15 +123,31 @@ def _linear(x, w):
     return gc.matmul(x, gc.swapaxes(w, 0, 1))
 
 
-def embed(seq, params):
-    """Embed one sequence to (max_seq_len, d); padded rows are exactly zero."""
+def pad_sequences(seqs, max_seq_len):
+    """Left-aligned (ids, mask) of shape (B, max_seq_len) from item lists.
+
+    Each sequence keeps its last max_seq_len items; padded slots hold id 0
+    and mask False.
+    """
+    ids = np.zeros((len(seqs), max_seq_len), dtype=np.int64)
+    mask = np.zeros((len(seqs), max_seq_len), dtype=bool)
+    for row, items in enumerate(seqs):
+        tail = np.asarray(items, dtype=np.int64)[-max_seq_len:]
+        if tail.shape[0] == 0:
+            raise ValueError(f"sequence {row}: empty behavior sequence")
+        ids[row, : tail.shape[0]] = tail
+        mask[row, : tail.shape[0]] = True
+    return ids, mask
+
+
+def embed_batch(ids, mask, params):
+    """Embed (B, max_seq_len) ids to (B, max_seq_len, d); padded rows are exactly zero."""
     num_items = params.num_items
-    valid_ids = seq.item_ids[seq.mask]
+    valid_ids = ids[mask]
     if valid_ids.size and (valid_ids.min() < 0 or valid_ids.max() >= num_items):
         bad = valid_ids[(valid_ids < 0) | (valid_ids >= num_items)][0]
         raise ValueError(f"item id {bad} out of range for embedding table with {num_items} rows")
-    rows = gc.gather_rows(params.item_emb, seq.item_ids)
-    return gc.mul(rows, seq.mask[:, None].astype(np.float64))
+    return gc.gather_rows(params.item_emb, ids) * mask[:, :, None].astype(np.float64)
 
 
 def interest_forward(x_emb, mask, params):
@@ -189,45 +168,21 @@ def interest_forward(x_emb, mask, params):
     return interests, attention
 
 
-def extract_interests(x_emb, mask, params):
-    """Per-sequence extractor: x_emb (max_seq_len, d), mask (max_seq_len,) bool."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("cannot extract interests from a fully masked (empty) sequence")
-    n_x, d = x_emb.value.shape
-    interests, attention = interest_forward(
-        gc.reshape(x_emb, (1, n_x, d)), mask[None, :], params
-    )
-    num_interests = params.att_query.value.shape[0]
-    return InterestSet(
-        interests=gc.reshape(interests, (num_interests, d)),
-        attention=gc.reshape(attention, (num_interests, n_x)),
-    )
-
-
-def score(z, y):
-    """Dot-product relevance between an interest vector and an item vector."""
-    zv = z.value if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
-    yv = y.value if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-    if zv.shape != yv.shape or zv.ndim != 1:
-        raise ValueError(f"score needs equal-length vectors, got {zv.shape} and {yv.shape}")
-    return float(zv @ yv)
-
-
 def save_checkpoint(params, path):
     """Write params to a binary checkpoint.
 
     Layout: 8-byte magic "MIRECKPT"; then 7 little-endian uint32: format
     version, num_items, d, d_h, d_b, max_seq_len, num_interests; then every
     tensor from ModelParams.named() in order, row-major little-endian float64.
+    Every tensor is checked before anything is written, and the file is
+    replaced atomically, so a refused save leaves the previous checkpoint intact.
     """
+    for name, t in params.named():
+        if not np.all(np.isfinite(t.value)):
+            raise ValueError(f"refusing to checkpoint non-finite parameter {name}")
     header = struct.pack("<8s7I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *params.dims())
-    with open(path, "wb") as f:
-        f.write(header)
-        for _, t in params.named():
-            if not np.all(np.isfinite(t.value)):
-                raise ValueError("refusing to checkpoint non-finite parameters")
-            f.write(np.ascontiguousarray(t.value, dtype="<f8").tobytes())
+    write_atomic(path, header + b"".join(
+        np.ascontiguousarray(t.value, dtype="<f8").tobytes() for t in params.tensors()))
 
 
 def load_checkpoint(path):

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import gradcore as gc
 from .evaluation import evaluate_split
+from .data import write_atomic
 from .losses import compute_batch_losses
-from .model import save_checkpoint
+from .model import pad_sequences, save_checkpoint
 
 
 @dataclass
@@ -127,16 +128,8 @@ def build_examples(sequences):
 
 
 def _assemble_batch(examples, idx, max_seq_len):
-    b = len(idx)
-    ids = np.zeros((b, max_seq_len), dtype=np.int64)
-    mask = np.zeros((b, max_seq_len), dtype=bool)
-    targets = np.zeros(b, dtype=np.int64)
-    for row, j in enumerate(idx):
-        prefix, target = examples[j]
-        tail = prefix[-max_seq_len:]
-        ids[row, : tail.shape[0]] = tail
-        mask[row, : tail.shape[0]] = True
-        targets[row] = target
+    ids, mask = pad_sequences([examples[j][0] for j in idx], max_seq_len)
+    targets = np.array([examples[j][1] for j in idx], dtype=np.int64)
     return ids, mask, targets
 
 
@@ -233,8 +226,7 @@ def train(split_data, params, hp, config, log=None):
     if config.checkpoint_path:
         save_checkpoint(params, config.checkpoint_path)
     if config.log_path:
-        with open(config.log_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(log_lines) + "\n")
+        write_atomic(config.log_path, "\n".join(log_lines) + "\n")
     return TrainResult(
         params=params, history=history, log_lines=log_lines,
         num_examples=len(examples), skipped_short=skipped,

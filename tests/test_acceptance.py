@@ -34,52 +34,55 @@ from mirec.trainer import TrainConfig, train
 
 
 def fd_instance(seed):
-    """Random tiny model + sequence at the reference check dims (d=8, 50 items)."""
+    """Random tiny model + one sequence as a B=1 (ids, mask) batch at the
+    reference check dims (d=8, 50 items)."""
     hp = m.HyperParams(embed_dim=8, att_hidden_dim=6, recon_hidden_dim=3,
                        num_interests=3, max_seq_len=5, temperature=0.5,
-                       lambda_contrast=0.1, lambda_attend=1.0,
-                       lambda_reconstruct=0.1)
+                       lambda_cl=0.1, lambda_att=1.0, lambda_ct=0.1)
     rng = np.random.default_rng(seed)
     params = m.ModelParams.init(50, hp, rng)
     length = int(rng.integers(2, hp.max_seq_len + 1))
     items = rng.choice(50, size=length, replace=False)
-    seq = m.BehaviorSequence.from_items(0, items, hp.max_seq_len)
-    return rng, hp, params, seq
+    ids, mask = m.pad_sequences([items], hp.max_seq_len)
+    return rng, hp, params, ids, mask
 
 
-def fd_loss_fn(name, rng, hp, params, seq):
+def extract(ids, mask, params):
+    x = m.embed_batch(ids, mask, params)
+    interests, attention = m.interest_forward(x, mask, params)
+    return x, interests, attention
+
+
+def fd_loss_fn(name, rng, hp, params, ids, mask):
     """Scalar loss closure with all discrete selector state frozen up front."""
-    x0 = m.embed(seq, params)
-    iset0 = m.extract_interests(x0, seq.mask, params)
-    sets = ls.select_positives(iset0.attention, seq.mask, "adaptive")
-    att_target = Tensor(iset0.attention.value.copy())
-    complement = np.setdiff1d(np.arange(params.num_items), seq.item_ids[seq.mask])
-    samp_ids = rng.choice(complement, size=(hp.num_interests, 3), replace=True)
+    _, z0, a0 = extract(ids, mask, params)
+    pos, neg = ls.select_positives_batch(a0.value, mask, "adaptive")
+    att_target = Tensor(a0.value.copy())
+    complement = np.setdiff1d(np.arange(params.num_items), ids[mask])
+    samp_ids = rng.choice(complement, size=(hp.num_interests, 3), replace=True)[None]
+    samp_mask = np.ones(samp_ids.shape, dtype=bool)
     target_id = int(rng.integers(0, params.num_items))
-    neg_ids = rng.integers(0, params.num_items, size=4)
-    selected = ls.select_interest(iset0.interests,
-                                  Tensor(params.item_emb.value[target_id]))
+    neg_ids = rng.integers(0, params.num_items, size=4)[None]
+    selected = ls.select_interest_batch(z0.value, params.item_emb.value[[target_id]])
 
     def f(_):
-        x = m.embed(seq, params)
-        iset = m.extract_interests(x, seq.mask, params)
+        x, z, _ = extract(ids, mask, params)
         if name == "contrast":
             samp = gc.gather_rows(params.item_emb, samp_ids)
-            return ls.loss_recontrast(iset.interests, x, sets, samp, hp.temperature)
+            return ls.recontrast_batch(z, x, pos, neg, samp, samp_mask, hp.temperature)
         if name == "attend":
-            return ls.loss_reattend(att_target, iset.interests, x, seq.mask)
+            return ls.reattend_batch(att_target, z, x, mask)
         if name == "reconstruct":
-            return ls.loss_reconstruct(iset.interests, x, sets, params)
-        target_emb = gc.reshape(
-            gc.gather_rows(params.item_emb, np.array([target_id])), (hp.embed_dim,))
+            return ls.reconstruct_batch(z, x, pos, params)
+        target_emb = gc.gather_rows(params.item_emb, np.array([target_id]))
         neg_emb = gc.gather_rows(params.item_emb, neg_ids)
-        rec = ls.loss_rec(iset.interests, target_emb, neg_emb, selected=selected)
+        rec = ls.rec_batch(z, target_emb, neg_emb, selected=selected)
         if name == "rec":
             return rec
         samp = gc.gather_rows(params.item_emb, samp_ids)
-        cl = ls.loss_recontrast(iset.interests, x, sets, samp, hp.temperature)
-        att = ls.loss_reattend(att_target, iset.interests, x, seq.mask)
-        ct = ls.loss_reconstruct(iset.interests, x, sets, params)
+        cl = ls.recontrast_batch(z, x, pos, neg, samp, samp_mask, hp.temperature)
+        att = ls.reattend_batch(att_target, z, x, mask)
+        ct = ls.reconstruct_batch(z, x, pos, params)
         total, _ = ls.combine(rec, cl, att, ct, hp)
         return total
 
@@ -92,8 +95,8 @@ def test_gradients_match_finite_differences():
     for name in ("rec", "contrast", "attend", "reconstruct", "combined"):
         w = 0.0
         for seed in range(20):
-            rng, hp, params, seq = fd_instance(seed)
-            f = fd_loss_fn(name, rng, hp, params, seq)
+            rng, hp, params, ids, mask = fd_instance(seed)
+            f = fd_loss_fn(name, rng, hp, params, ids, mask)
             w = max(w, gc.check_gradient(f, params.tensors(), h=1e-4))
         worst[name] = w
     elapsed = time.monotonic() - start
@@ -149,36 +152,33 @@ def test_retrieval_metrics_and_losses_match_bruteforce():
         x = r.normal(size=(n_x, d))
         samp = r.normal(size=(n_z, s, d))
         is_pos = r.random((n_z, n_x)) < 0.5
-        sets = ls.ContrastSets(
-            positives=[np.flatnonzero(is_pos[k]) for k in range(n_z)],
-            seq_negatives=[np.flatnonzero(~is_pos[k]) for k in range(n_z)],
-        )
-        got = ls.loss_recontrast(Tensor(z), Tensor(x), sets, Tensor(samp), tau)
+        got = ls.recontrast_batch(Tensor(z[None]), Tensor(x[None]), is_pos[None],
+                                  ~is_pos[None], Tensor(samp[None]),
+                                  np.ones((1, n_z, s), dtype=bool), tau)
 
         def unit(v):
             return v / np.linalg.norm(v)
 
         want = 0.0
         for k in range(n_z):
-            negs = [unit(x[j]) for j in sets.seq_negatives[k]]
+            negs = [unit(x[j]) for j in np.flatnonzero(~is_pos[k])]
             negs += [unit(z[kk]) for kk in range(n_z) if kk != k]
             negs += [unit(samp[k, t]) for t in range(s)]
             neg_exp = sum(np.exp(unit(z[k]) @ v / tau) for v in negs)
-            for i in sets.positives[k]:
+            for i in np.flatnonzero(is_pos[k]):
                 pos_exp = np.exp(unit(z[k]) @ unit(x[i]) / tau)
                 want += -np.log(pos_exp / (pos_exp + neg_exp))
         assert abs(got.value - want) <= 1e-10
 
     for seed in range(50):
-        rng_i, hp, params, seq = fd_instance(seed)
-        x = m.embed(seq, params)
-        iset = m.extract_interests(x, seq.mask, params)
-        sets = ls.select_positives(iset.attention, seq.mask, 1.0 / 32.0)
-        got = ls.loss_reconstruct(iset.interests, x, sets, params)
+        rng_i, hp, params, ids, mask = fd_instance(seed)
+        x, z, a = extract(ids, mask, params)
+        pos, _ = ls.select_positives_batch(a.value, mask, 1.0 / 32.0)
+        got = ls.reconstruct_batch(z, x, pos, params)
         n_x, d_b = hp.max_seq_len, hp.recon_hidden_dim
         want = 0.0
         for k in range(hp.num_interests):
-            code = (params.recon_expand.value @ iset.interests.value[k]).reshape(n_x, d_b)
+            code = (params.recon_expand.value @ z.value[0, k]).reshape(n_x, d_b)
             logits = np.zeros((n_x, n_x))
             for i in range(n_x):
                 for j in range(n_x):
@@ -186,11 +186,11 @@ def test_retrieval_metrics_and_losses_match_bruteforce():
                         params.recon_hidden.value @ code[i])
             beta = np.exp(logits - logits.max(axis=0, keepdims=True))
             beta /= beta.sum(axis=0, keepdims=True)
-            for j in sets.positives[k]:
+            for j in np.flatnonzero(pos[0, k]):
                 xhat = np.zeros(hp.embed_dim)
                 for i in range(n_x):
                     xhat += beta[i, j] * (params.recon_out.value @ code[i])
-                want += np.sum((xhat - x.value[j]) ** 2)
+                want += np.sum((xhat - x.value[0, j]) ** 2)
         assert abs(got.value - want) <= 1e-10
 
     elapsed = time.monotonic() - start
@@ -202,8 +202,7 @@ def test_retrieval_metrics_and_losses_match_bruteforce():
 
 
 PLANTED_SEEDS = (0, 1, 2, 3, 4)
-REGULARIZERS = dict(lambda_contrast=0.10, lambda_attend=0.04,
-                    lambda_reconstruct=0.01)
+REGULARIZERS = dict(lambda_cl=0.10, lambda_att=0.04, lambda_ct=0.01)
 
 
 def mean_interest_cosine(params, part, hp):
@@ -277,8 +276,7 @@ def test_movielens_hitrate():
     sp = split(log, seed=0)
     hp = m.HyperParams(embed_dim=64, att_hidden_dim=256, recon_hidden_dim=32,
                        num_interests=8, max_seq_len=20, temperature=0.02,
-                       lambda_contrast=0.1, lambda_attend=1.0,
-                       lambda_reconstruct=0.1)
+                       lambda_cl=0.1, lambda_att=1.0, lambda_ct=0.1)
     params = m.ModelParams.init(len(log.item_tokens), hp, np.random.default_rng(0))
     config = TrainConfig(epochs=30, batch_size=128, seed=0, eval_every=1,
                          patience=3, lr=0.003)

@@ -62,13 +62,19 @@ def test_bad_value_names_the_key():
         cm.resolve({"epochs": "three"})
 
 
+def test_diag_init_rejects_unknown_mode_by_key():
+    assert cm.default_config(["diag_init=user_interests"]).diag_init == "user_interests"
+    with pytest.raises(ValueError, match="config key 'diag_init'.*'random'"):
+        cm.default_config(["diag_init=random"])
+
+
 def test_hyperparams_mapping():
     cfg = cm.default_config(["lambda_cl=0.1", "lambda_att=1.0", "lambda_ct=0.2",
                              "temperature=0.5"])
     hp = cfg.hyperparams()
-    assert hp.lambda_contrast == 0.1
-    assert hp.lambda_attend == 1.0
-    assert hp.lambda_reconstruct == 0.2
+    assert hp.lambda_cl == 0.1
+    assert hp.lambda_att == 1.0
+    assert hp.lambda_ct == 0.2
     assert hp.temperature == 0.5
 
 
@@ -106,6 +112,12 @@ def test_config_hash_stable_and_sensitive():
     assert cm.config_hash(a) == cm.config_hash(b)
     assert cm.config_hash(a) != cm.config_hash(c)
     assert len(cm.config_hash(a)) == 12
+
+
+def test_default_config_hash_is_pinned():
+    # eval.txt and diagnostics.txt records carry this hash, so a change to the
+    # rendered default config would move every report
+    assert cm.config_hash(cm.default_config()) == "713a326564b7"
 
 
 def test_load_config_from_file(tmp_path):

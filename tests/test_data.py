@@ -93,17 +93,6 @@ def test_synthetic_sequences_survive_write_and_ingest(tmp_path):
         assert orig_tokens == back_tokens
 
 
-def test_index_maps_round_trip(tmp_path):
-    path = write_log(tmp_path / "log.tsv", [("u1", "i9", 1), ("u2", "i3", 2)])
-    log = d.ingest(path)
-    prefix = str(tmp_path / "log")
-    d.write_index_maps(log, prefix)
-    users = d.read_index_map(prefix + ".users.map")
-    items = d.read_index_map(prefix + ".items.map")
-    assert users == {"u1": 0, "u2": 1}
-    assert items == {"i9": 0, "i3": 1}
-
-
 def synthetic_log(users=30, seed=0, seq_len=10):
     spec = d.SyntheticSpec(n_clusters=2, items_per_cluster=20, users=users,
                            seq_len=seq_len, seed=seed)
@@ -183,30 +172,6 @@ def test_split_manifest_lines(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 10
     assert sum(1 for ln in lines if ln.endswith("\ttrain")) == 8
-
-
-def test_kcore_filter_reaches_fixed_point(tmp_path):
-    rows = []
-    for u in range(6):
-        for i in range(6):
-            rows.append((f"u{u}", f"i{i}", u * 10 + i))
-    rows.append(("u_rare", "i0", 99))
-    rows.append(("u0", "i_rare", 98))
-    path = write_log(tmp_path / "log.tsv", rows)
-    log = d.ingest(path)
-    filtered = d.kcore_filter(log, k=3)
-    u_counts = np.bincount(filtered.user_ids)
-    i_counts = np.bincount(filtered.item_ids)
-    assert u_counts.min() >= 3 and i_counts.min() >= 3
-    assert "u_rare" not in filtered.user_tokens
-    assert "i_rare" not in filtered.item_tokens
-
-
-def test_kcore_filter_rejects_overpruning(tmp_path):
-    path = write_log(tmp_path / "log.tsv", [("u", "i", 1), ("v", "j", 2)])
-    log = d.ingest(path)
-    with pytest.raises(ValueError, match="removed every"):
-        d.kcore_filter(log, k=10)
 
 
 def test_synthetic_spec_validation():

@@ -72,18 +72,6 @@ def test_retrieve_matches_brute_force_oracle():
         assert np.array_equal(got.item_ids, want)
 
 
-def test_blocked_retrieval_identical_to_exact():
-    rng = np.random.default_rng(4)
-    for block in (1, 3, 7, 1000):
-        emb = rng.normal(size=(33, 6))
-        z = rng.normal(size=(3, 6))
-        a = ev.retrieve_topn(z, emb, 9, exclude={2, 30})
-        b = ev.retrieve_topn_blocked(z, emb, 9, exclude={2, 30}, block_size=block)
-        assert np.array_equal(a.item_ids, b.item_ids)
-        assert np.allclose(a.scores, b.scores)
-        assert a.truncated == b.truncated
-
-
 def test_retrieve_rejects_bad_n():
     with pytest.raises(ValueError, match="n must be"):
         ev.retrieve_topn(np.ones((1, 2)), np.ones((3, 2)), 0)
@@ -198,13 +186,6 @@ def test_evaluate_split_deterministic():
     assert a == b
 
 
-def test_evaluate_split_blocked_matches_exact():
-    sp, hp, params = _tiny_world(3)
-    a = ev.evaluate_split(params, sp.test, hp, cutoffs=(10,))
-    b = ev.evaluate_split(params, sp.test, hp, cutoffs=(10,), blocked=True)
-    assert a == b
-
-
 def test_evaluate_split_rejects_bad_cutoffs():
     sp, hp, params = _tiny_world(4)
     with pytest.raises(ValueError, match="cutoffs"):
@@ -227,5 +208,5 @@ def test_profile_items_never_retrieved():
     for user in sorted(sp.test):
         profile, _ = sp.test[user]
         z = ev.user_interests_for_profile(profile, params, hp.max_seq_len)
-        r = ev.retrieve_topn(z, params.item_emb, 20, exclude=set(profile))
+        r = ev.retrieve_topn(z, params.item_emb.value, 20, exclude=set(profile))
         assert set(profile).isdisjoint(set(r.item_ids.tolist()))

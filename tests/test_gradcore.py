@@ -7,33 +7,6 @@ from mirec.gradcore import Tensor, Tape
 FD_TOL = 1e-6
 
 
-def test_matvec_identity():
-    out = gc.matvec(Tensor(np.eye(2)), Tensor([3.0, 4.0]))
-    np.testing.assert_allclose(out.value, [3.0, 4.0])
-
-
-def test_matvec_row_sums():
-    out = gc.matvec(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([1.0, 1.0]))
-    np.testing.assert_allclose(out.value, [3.0, 7.0])
-
-
-def test_matvec_matches_naive_loop():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(5, 3))
-    v = rng.normal(size=3)
-    expected = np.zeros(5)
-    for i in range(5):
-        for j in range(3):
-            expected[i] += m[i, j] * v[j]
-    out = gc.matvec(Tensor(m), Tensor(v))
-    np.testing.assert_allclose(out.value, expected, atol=1e-12)
-
-
-def test_matvec_shape_mismatch_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2,\)"):
-        gc.matvec(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
-
-
 def test_softmax_symmetry():
     np.testing.assert_allclose(gc.softmax(Tensor([0.0, 0.0])).value, [0.5, 0.5])
 
@@ -236,13 +209,6 @@ def _inst_matmul(rng):
     return lambda ps: gc.tsum(gc.matmul(ps[0], ps[1]) * w), [a, b]
 
 
-def _inst_matvec(rng):
-    m = Tensor(rng.normal(size=(5, 3)))
-    v = Tensor(rng.normal(size=(3,)))
-    w = rng.normal(size=(5,))
-    return lambda ps: gc.tsum(gc.matvec(ps[0], ps[1]) * w), [m, v]
-
-
 def _inst_tanh(rng):
     a = Tensor(rng.normal(size=(3, 4)))
     w = rng.normal(size=(3, 4))
@@ -363,7 +329,6 @@ PRIMITIVES = [
     ("div", _inst_div),
     ("neg", _inst_neg),
     ("matmul", _inst_matmul),
-    ("matvec", _inst_matvec),
     ("tanh", _inst_tanh),
     ("exp", _inst_exp),
     ("log", _inst_log),

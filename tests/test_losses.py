@@ -15,64 +15,67 @@ def tiny_hp(**kw):
 
 
 def make_instance(seed, num_items=20, hp=None, min_len=2):
+    """Random model plus one padded sequence as a B=1 (ids, mask) batch."""
     hp = hp or tiny_hp()
     rng = np.random.default_rng(seed)
     params = m.ModelParams.init(num_items, hp, rng)
     length = int(rng.integers(min_len, hp.max_seq_len + 1))
     items = rng.choice(num_items, size=length, replace=False)
-    seq = m.BehaviorSequence.from_items(0, items, hp.max_seq_len)
-    return rng, hp, params, seq
+    ids, mask = m.pad_sequences([items], hp.max_seq_len)
+    return rng, hp, params, ids, mask
 
 
-def forward(seq, params):
-    x = m.embed(seq, params)
-    iset = m.extract_interests(x, seq.mask, params)
-    return x, iset
+def forward(ids, mask, params):
+    x = m.embed_batch(ids, mask, params)
+    interests, attention = m.interest_forward(x, mask, params)
+    return x, interests, attention
+
+
+def batch1(*arrays):
+    """Prepend a batch axis of size 1 to each array, as Tensors."""
+    return [Tensor(np.asarray(a, dtype=np.float64)[None]) for a in arrays]
 
 
 # ---------------------------------------------------------------- positives
 
 
 def test_uniform_attention_with_adaptive_threshold_gives_empty_positives():
-    a = np.full((2, 3), 1.0 / 3.0)
-    sets = ls.select_positives(a, np.ones(3, bool), "adaptive")
-    for k in range(2):
-        assert sets.positives[k].size == 0
-        np.testing.assert_array_equal(sets.seq_negatives[k], [0, 1, 2])
+    a = np.full((1, 2, 3), 1.0 / 3.0)
+    pos, neg = ls.select_positives_batch(a, np.ones((1, 3), bool), "adaptive")
+    assert not pos.any()
+    assert neg.all()
 
 
 def test_select_positives_direct_comparison():
-    a = np.array([[0.7, 0.2, 0.1]])
-    sets = ls.select_positives(a, np.ones(3, bool), 1.0 / 3.0)
-    np.testing.assert_array_equal(sets.positives[0], [0])
-    np.testing.assert_array_equal(sets.seq_negatives[0], [1, 2])
+    a = np.array([[[0.7, 0.2, 0.1]]])
+    pos, neg = ls.select_positives_batch(a, np.ones((1, 3), bool), 1.0 / 3.0)
+    np.testing.assert_array_equal(np.flatnonzero(pos[0, 0]), [0])
+    np.testing.assert_array_equal(np.flatnonzero(neg[0, 0]), [1, 2])
 
 
 def test_low_threshold_makes_every_position_positive():
-    a = np.full((1, 4), 0.25)
-    sets = ls.select_positives(a, np.ones(4, bool), 1.0 / 32.0)
-    np.testing.assert_array_equal(sets.positives[0], [0, 1, 2, 3])
-    assert sets.seq_negatives[0].size == 0
+    a = np.full((1, 1, 4), 0.25)
+    pos, neg = ls.select_positives_batch(a, np.ones((1, 4), bool), 1.0 / 32.0)
+    np.testing.assert_array_equal(np.flatnonzero(pos[0, 0]), [0, 1, 2, 3])
+    assert not neg.any()
 
 
 def test_adaptive_threshold_uses_valid_length_not_padded_length():
-    a = np.array([[0.6, 0.4, 0.0, 0.0]])
-    mask = np.array([True, True, False, False])
-    sets = ls.select_positives(a, mask, "adaptive")  # threshold 1/2
-    np.testing.assert_array_equal(sets.positives[0], [0])
-    np.testing.assert_array_equal(sets.seq_negatives[0], [1])
+    a = np.array([[[0.6, 0.4, 0.0, 0.0]]])
+    mask = np.array([[True, True, False, False]])
+    pos, neg = ls.select_positives_batch(a, mask, "adaptive")  # threshold 1/2
+    np.testing.assert_array_equal(np.flatnonzero(pos[0, 0]), [0])
+    np.testing.assert_array_equal(np.flatnonzero(neg[0, 0]), [1])
 
 
 def test_positives_and_negatives_partition_valid_positions():
     for seed in range(20):
-        rng, hp, params, seq = make_instance(seed)
-        _, iset = forward(seq, params)
-        sets = ls.select_positives(iset.attention, seq.mask, "adaptive")
-        valid = set(np.flatnonzero(seq.mask))
-        for k in range(hp.num_interests):
-            p, n = set(sets.positives[k]), set(sets.seq_negatives[k])
-            assert p | n == valid
-            assert not (p & n)
+        rng, hp, params, ids, mask = make_instance(seed)
+        _, _, attention = forward(ids, mask, params)
+        pos, neg = ls.select_positives_batch(attention.value, mask, "adaptive")
+        valid = np.broadcast_to(mask[:, None, :], pos.shape)
+        np.testing.assert_array_equal(pos | neg, valid)
+        assert not (pos & neg).any()
 
 
 # ----------------------------------------------------------------- sampler
@@ -114,12 +117,24 @@ def test_out_of_seq_sampling_is_deterministic():
 # -------------------------------------------------------------- recontrast
 
 
+def recontrast(z, x, pos, neg, sampled, tau):
+    """recontrast_batch at B=1; z (n_z, d), x (n_x, d), pos/neg (n_z, n_x)
+    bool, sampled (n_z, S, d) or None."""
+    samp_mask = None
+    if sampled is not None:
+        sampled = np.asarray(sampled, dtype=np.float64)
+        samp_mask = np.ones((1,) + sampled.shape[:2], dtype=bool)
+        sampled = Tensor(sampled[None])
+    z, x = batch1(z, x)
+    return ls.recontrast_batch(z, x, np.asarray(pos)[None], np.asarray(neg)[None],
+                               sampled, samp_mask, tau)
+
+
 def test_recontrast_closed_form_one_positive_one_negative():
-    z = Tensor([[1.0, 0.0]])
-    x = Tensor([[2.0, 0.0]])  # cosine 1 to z
-    sampled = Tensor([[[0.0, 3.0]]])  # cosine 0 to z
-    sets = ls.ContrastSets(positives=[np.array([0])], seq_negatives=[np.array([], int)])
-    loss = ls.loss_recontrast(z, x, sets, sampled, temperature=1.0)
+    z = [[1.0, 0.0]]
+    x = [[2.0, 0.0]]  # cosine 1 to z
+    sampled = [[[0.0, 3.0]]]  # cosine 0 to z
+    loss = recontrast(z, x, [[True]], [[False]], sampled, tau=1.0)
     np.testing.assert_allclose(loss.value, -np.log(np.e / (np.e + 1.0)), atol=1e-12)
 
 
@@ -131,111 +146,104 @@ def test_recontrast_matches_enumeration_oracle():
         x = rng.normal(size=(n_x, d))
         samp = rng.normal(size=(n_z, s, d))
         split = rng.random((n_z, n_x)) < 0.5
-        sets = ls.ContrastSets(
-            positives=[np.flatnonzero(split[k]) for k in range(n_z)],
-            seq_negatives=[np.flatnonzero(~split[k]) for k in range(n_z)],
-        )
-        loss = ls.loss_recontrast(Tensor(z), Tensor(x), sets, Tensor(samp), tau)
+        loss = recontrast(z, x, split, ~split, samp, tau)
 
         def unit(v):
             return v / np.linalg.norm(v)
 
         expected = 0.0
         for k in range(n_z):
-            negs = [unit(x[j]) for j in sets.seq_negatives[k]]
+            negs = [unit(x[j]) for j in np.flatnonzero(~split[k])]
             negs += [unit(z[kk]) for kk in range(n_z) if kk != k]
             negs += [unit(samp[k, t]) for t in range(s)]
             neg_exp = sum(np.exp(unit(z[k]) @ n / tau) for n in negs)
-            for i in sets.positives[k]:
+            for i in np.flatnonzero(split[k]):
                 pos_exp = np.exp(unit(z[k]) @ unit(x[i]) / tau)
                 expected += -np.log(pos_exp / (pos_exp + neg_exp))
         np.testing.assert_allclose(loss.value, expected, rtol=0, atol=1e-10)
 
 
 def test_recontrast_duplicated_negative_increases_loss():
-    z = Tensor([[1.0, 0.0]])
-    x = Tensor([[1.0, 0.2]])
-    sets = ls.ContrastSets(positives=[np.array([0])], seq_negatives=[np.array([], int)])
-    one = ls.loss_recontrast(z, x, sets, Tensor([[[0.3, 1.0]]]), 1.0)
-    two = ls.loss_recontrast(z, x, sets, Tensor([[[0.3, 1.0], [0.3, 1.0]]]), 1.0)
+    z = [[1.0, 0.0]]
+    x = [[1.0, 0.2]]
+    one = recontrast(z, x, [[True]], [[False]], [[[0.3, 1.0]]], 1.0)
+    two = recontrast(z, x, [[True]], [[False]], [[[0.3, 1.0], [0.3, 1.0]]], 1.0)
     assert two.value > one.value
 
 
 def test_recontrast_decreases_as_positive_aligns_with_interest():
-    sets = ls.ContrastSets(positives=[np.array([0])], seq_negatives=[np.array([1])])
-    z = Tensor([[1.0, 0.0]])
+    z = [[1.0, 0.0]]
     prev = np.inf
     for angle in (1.2, 0.8, 0.4, 0.1):
-        x = Tensor([[np.cos(angle), np.sin(angle)], [-0.5, 0.8]])
-        val = float(ls.loss_recontrast(z, x, sets, None, 0.5).value)
+        x = [[np.cos(angle), np.sin(angle)], [-0.5, 0.8]]
+        val = float(recontrast(z, x, [[True, False]], [[False, True]], None, 0.5).value)
         assert val < prev
         prev = val
 
 
 def test_recontrast_zero_norm_vector_is_error():
-    z = Tensor([[0.0, 0.0]])
-    x = Tensor([[1.0, 0.0]])
-    sets = ls.ContrastSets(positives=[np.array([0])], seq_negatives=[np.array([], int)])
     with pytest.raises(ValueError, match="zero-norm.*interest"):
-        ls.loss_recontrast(z, x, sets, None, 1.0)
+        recontrast([[0.0, 0.0]], [[1.0, 0.0]], [[True]], [[False]], None, 1.0)
 
 
 def test_recontrast_empty_positives_give_exactly_zero():
-    rng, hp, params, seq = make_instance(1)
-    x, iset = forward(seq, params)
-    empty = [np.array([], int)] * hp.num_interests
-    all_neg = [np.flatnonzero(seq.mask)] * hp.num_interests
-    sets = ls.ContrastSets(positives=empty, seq_negatives=all_neg)
-    loss = ls.loss_recontrast(iset.interests, x, sets, None, hp.temperature)
+    rng, hp, params, ids, mask = make_instance(1)
+    x, interests, attention = forward(ids, mask, params)
+    pos = np.zeros(attention.value.shape, dtype=bool)
+    neg = np.broadcast_to(mask[:, None, :], pos.shape)
+    loss = ls.recontrast_batch(interests, x, pos, neg, None, None, hp.temperature)
     assert loss.value == 0.0
 
 
 # ---------------------------------------------------------------- reattend
 
 
+def reattend(attention, interests, x, mask):
+    """reattend_batch at B=1 on (n_z, n_x), (n_z, d), (n_x, d), (n_x,) arrays."""
+    return ls.reattend_batch(*batch1(attention, interests, x), np.asarray(mask)[None])
+
+
 def test_reattend_closed_form_ln2():
-    attention = Tensor([[1.0, 0.0]])
-    interests = Tensor([[0.7, 0.1]])
-    x = Tensor([[1.0, 1.0], [1.0, 1.0]])  # equal dots -> uniform relevance
-    loss = ls.loss_reattend(attention, interests, x, np.ones(2, bool))
+    attention = [[1.0, 0.0]]
+    interests = [[0.7, 0.1]]
+    x = [[1.0, 1.0], [1.0, 1.0]]  # equal dots -> uniform relevance
+    loss = reattend(attention, interests, x, np.ones(2, bool))
     np.testing.assert_allclose(loss.value, np.log(2.0), atol=1e-12)
 
 
 def test_reattend_equality_case_equals_entropy():
     a_row = np.array([0.7, 0.2, 0.1])
-    x = Tensor(np.eye(3))
-    interests = Tensor(np.log(a_row)[None, :])
-    loss = ls.loss_reattend(Tensor(a_row[None, :]), interests, x, np.ones(3, bool))
+    loss = reattend(a_row[None, :], np.log(a_row)[None, :], np.eye(3), np.ones(3, bool))
     entropy = -np.sum(a_row * np.log(a_row))
     np.testing.assert_allclose(loss.value, entropy, atol=1e-10)
 
 
 def test_reattend_uniform_target_constant_relevance():
     n_z, length = 3, 4
-    attention = Tensor(np.full((n_z, length), 1.0 / length))
-    interests = Tensor(np.zeros((n_z, 2)))
-    x = Tensor(np.random.default_rng(0).normal(size=(length, 2)))
-    loss = ls.loss_reattend(attention, interests, x, np.ones(length, bool))
+    attention = np.full((n_z, length), 1.0 / length)
+    interests = np.zeros((n_z, 2))
+    x = np.random.default_rng(0).normal(size=(length, 2))
+    loss = reattend(attention, interests, x, np.ones(length, bool))
     np.testing.assert_allclose(loss.value, n_z * np.log(length), atol=1e-12)
 
 
 def test_reattend_gibbs_lower_bound():
     for seed in range(20):
-        rng, hp, params, seq = make_instance(seed)
-        x, iset = forward(seq, params)
-        loss = ls.loss_reattend(iset.attention, iset.interests, x, seq.mask)
-        a = iset.attention.value
+        rng, hp, params, ids, mask = make_instance(seed)
+        x, interests, attention = forward(ids, mask, params)
+        loss = ls.reattend_batch(attention, interests, x, mask)
+        a = attention.value
         with np.errstate(divide="ignore", invalid="ignore"):
             ent = -np.sum(np.where(a > 0, a * np.log(a), 0.0))
         assert loss.value >= ent - 1e-10
 
 
 def test_reattend_ignores_padded_positions():
-    attention = Tensor([[0.9, 0.1, 0.0]])
-    interests = Tensor([[1.0, 0.0]])
-    x = Tensor([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    attention = [[0.9, 0.1, 0.0]]
+    interests = [[1.0, 0.0]]
+    x = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     mask = np.array([True, True, False])
-    loss = ls.loss_reattend(attention, interests, x, mask)
+    loss = reattend(attention, interests, x, mask)
     logits = np.array([1.0, 0.0])
     logp = logits - np.log(np.exp(logits).sum())
     expected = -(0.9 * logp[0] + 0.1 * logp[1])
@@ -246,11 +254,10 @@ def test_reattend_ignores_padded_positions():
 
 
 def test_reconstruct_empty_positives_is_exactly_zero():
-    rng, hp, params, seq = make_instance(2)
-    x, iset = forward(seq, params)
-    sets = ls.ContrastSets(positives=[np.array([], int)] * hp.num_interests,
-                           seq_negatives=[np.flatnonzero(seq.mask)] * hp.num_interests)
-    loss = ls.loss_reconstruct(iset.interests, x, sets, params)
+    rng, hp, params, ids, mask = make_instance(2)
+    x, interests, attention = forward(ids, mask, params)
+    pos = np.zeros(attention.value.shape, dtype=bool)
+    loss = ls.reconstruct_batch(interests, x, pos, params)
     assert loss.value == 0.0
 
 
@@ -260,8 +267,7 @@ def test_reconstruct_scalar_chain_hand_computation():
     params = m.ModelParams.init(7, hp, rng)
     z = rng.normal(size=(1, 3))
     x0 = rng.normal(size=(1, 3))
-    sets = ls.ContrastSets(positives=[np.array([0])], seq_negatives=[np.array([], int)])
-    loss = ls.loss_reconstruct(Tensor(z), Tensor(x0), sets, params)
+    loss = ls.reconstruct_batch(*batch1(z, x0), np.ones((1, 1, 1), bool), params)
     code = params.recon_expand.value @ z[0]  # single slot code, d_b=1
     rebuilt = params.recon_out.value @ code
     expected = np.sum((rebuilt - x0[0]) ** 2)
@@ -270,14 +276,14 @@ def test_reconstruct_scalar_chain_hand_computation():
 
 def test_reconstruct_matches_naive_loop_oracle():
     for seed in range(10):
-        rng, hp, params, seq = make_instance(seed)
-        x, iset = forward(seq, params)
-        sets = ls.select_positives(iset.attention, seq.mask, 1.0 / 32.0)
-        loss = ls.loss_reconstruct(iset.interests, x, sets, params)
+        rng, hp, params, ids, mask = make_instance(seed)
+        x, interests, attention = forward(ids, mask, params)
+        pos, _ = ls.select_positives_batch(attention.value, mask, 1.0 / 32.0)
+        loss = ls.reconstruct_batch(interests, x, pos, params)
         n_x, d_b = hp.max_seq_len, hp.recon_hidden_dim
         expected = 0.0
         for k in range(hp.num_interests):
-            code = (params.recon_expand.value @ iset.interests.value[k]).reshape(n_x, d_b)
+            code = (params.recon_expand.value @ interests.value[0, k]).reshape(n_x, d_b)
             logits = np.zeros((n_x, n_x))
             for i in range(n_x):
                 for j in range(n_x):
@@ -285,30 +291,31 @@ def test_reconstruct_matches_naive_loop_oracle():
                         params.recon_hidden.value @ code[i])
             beta = np.exp(logits - logits.max(axis=0, keepdims=True))
             beta /= beta.sum(axis=0, keepdims=True)
-            for j in sets.positives[k]:
+            for j in np.flatnonzero(pos[0, k]):
                 xhat = np.zeros(hp.embed_dim)
                 for i in range(n_x):
                     xhat += beta[i, j] * (params.recon_out.value @ code[i])
-                expected += np.sum((xhat - x.value[j]) ** 2)
+                expected += np.sum((xhat - x.value[0, j]) ** 2)
         np.testing.assert_allclose(loss.value, expected, rtol=0, atol=1e-10)
 
 
 # ------------------------------------------------------------------- rec
 
 
+def select(z, y):
+    return int(ls.select_interest_batch(np.asarray(z)[None], np.asarray(y)[None])[0])
+
+
 def test_rec_symmetric_pair_is_ln2():
-    interests = Tensor([[1.0, 0.0]])
-    target = Tensor([0.5, 0.5])
-    neg = Tensor([[0.5, -0.5]])  # same dot with the interest as the target
-    loss = ls.loss_rec(interests, target, neg)
+    interests = [[1.0, 0.0]]
+    target = [0.5, 0.5]
+    neg = [[0.5, -0.5]]  # same dot with the interest as the target
+    loss = ls.rec_batch(*batch1(interests, target, neg))
     np.testing.assert_allclose(loss.value, np.log(2.0), atol=1e-12)
 
 
 def test_rec_loss_vanishes_when_target_dominates():
-    interests = Tensor([[10.0, 0.0]])
-    target = Tensor([10.0, 0.0])
-    neg = Tensor([[-10.0, 0.0]])
-    loss = ls.loss_rec(interests, target, neg)
+    loss = ls.rec_batch(*batch1([[10.0, 0.0]], [10.0, 0.0], [[-10.0, 0.0]]))
     assert 0.0 <= loss.value <= 1e-10
 
 
@@ -317,13 +324,13 @@ def test_interest_selection_matches_brute_force():
     for _ in range(50):
         z = rng.normal(size=(4, 6))
         y = rng.normal(size=6)
-        assert ls.select_interest(z, y) == int(np.argmax(z @ y))
+        assert select(z, y) == int(np.argmax(z @ y))
 
 
 def test_interest_selection_prefers_closer_interest():
     z = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([0.1, 0.9])
-    assert ls.select_interest(z, y) == 1
+    assert select(z, y) == 1
 
 
 def test_interest_selection_is_scale_invariant():
@@ -331,15 +338,15 @@ def test_interest_selection_is_scale_invariant():
     for _ in range(20):
         z = rng.normal(size=(3, 5))
         y = rng.normal(size=5)
-        base = ls.select_interest(z, y)
+        base = select(z, y)
         for c in (0.01, 0.5, 3.0, 100.0):
-            assert ls.select_interest(z, c * y) == base
+            assert select(z, c * y) == base
 
 
 def test_interest_selection_tie_takes_lowest_index():
     z = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
     y = np.array([1.0, 0.0])
-    assert ls.select_interest(z, y) == 0
+    assert select(z, y) == 0
 
 
 def test_rec_gradient_only_reaches_selected_interest():
@@ -371,18 +378,18 @@ def test_combine_with_zero_lambdas_is_pure_rec():
 
 
 def test_combine_adds_weighted_terms():
-    hp = tiny_hp(lambda_contrast=1.0)
+    hp = tiny_hp(lambda_cl=1.0)
     total, bundle = ls.combine(Tensor(np.array(1.0)), Tensor(np.array(0.5)),
                                None, None, hp)
     np.testing.assert_allclose(total.value, 1.5)
-    hp = tiny_hp(lambda_contrast=0.1, lambda_attend=10.0, lambda_reconstruct=0.01)
+    hp = tiny_hp(lambda_cl=0.1, lambda_att=10.0, lambda_ct=0.01)
     total, _ = ls.combine(Tensor(np.array(1.0)), Tensor(np.array(2.0)),
                           Tensor(np.array(3.0)), Tensor(np.array(4.0)), hp)
     np.testing.assert_allclose(total.value, 1.0 + 0.2 + 30.0 + 0.04)
 
 
 def test_combine_rejects_non_finite_losses():
-    hp = tiny_hp(lambda_contrast=1.0)
+    hp = tiny_hp(lambda_cl=1.0)
     with pytest.raises(ValueError, match="non-finite"):
         ls.combine(Tensor(np.array(np.nan)), Tensor(np.array(0.5)), None, None, hp)
 
@@ -390,46 +397,45 @@ def test_combine_rejects_non_finite_losses():
 # ------------------------------------------------------- gradient contract
 
 
-def _frozen_pieces(rng, hp, params, seq):
+def _frozen_pieces(rng, hp, params, ids, mask):
     """Selector state fixed at the base parameters, as the gradient treats it."""
-    x, iset = forward(seq, params)
-    sets = ls.select_positives(iset.attention, seq.mask, "adaptive")
-    attention_target = Tensor(iset.attention.value.copy())
-    complement = np.setdiff1d(np.arange(params.num_items), seq.item_ids[seq.mask])
-    samp_ids = rng.choice(complement, size=(hp.num_interests, 3), replace=True)
+    x, interests, attention = forward(ids, mask, params)
+    pos, neg = ls.select_positives_batch(attention.value, mask, "adaptive")
+    attention_target = Tensor(attention.value.copy())
+    complement = np.setdiff1d(np.arange(params.num_items), ids[mask])
+    samp_ids = rng.choice(complement, size=(hp.num_interests, 3), replace=True)[None]
     target_id = int(rng.integers(0, params.num_items))
-    neg_ids = rng.integers(0, params.num_items, size=4)
-    selected = np.array([
-        ls.select_interest(iset.interests, Tensor(params.item_emb.value[target_id]))
-    ])
-    return sets, attention_target, samp_ids, target_id, neg_ids, selected
+    neg_ids = rng.integers(0, params.num_items, size=4)[None]
+    selected = ls.select_interest_batch(interests.value,
+                                        params.item_emb.value[[target_id]])
+    return pos, neg, attention_target, samp_ids, target_id, neg_ids, selected
 
 
 def _fd_case(name, seed):
-    rng, hp, params, seq = make_instance(seed)
-    sets, att_target, samp_ids, target_id, neg_ids, selected = _frozen_pieces(
-        rng, hp, params, seq)
+    rng, hp, params, ids, mask = make_instance(seed)
+    pos, neg, att_target, samp_ids, target_id, neg_ids, selected = _frozen_pieces(
+        rng, hp, params, ids, mask)
+    samp_mask = np.ones(samp_ids.shape, dtype=bool)
 
     def f(_):
-        x = m.embed(seq, params)
-        iset = m.extract_interests(x, seq.mask, params)
+        x, interests, _ = forward(ids, mask, params)
         if name == "contrast":
             samp = gc.gather_rows(params.item_emb, samp_ids)
-            return ls.loss_recontrast(iset.interests, x, sets, samp, hp.temperature)
+            return ls.recontrast_batch(interests, x, pos, neg, samp, samp_mask,
+                                       hp.temperature)
         if name == "attend":
-            return ls.loss_reattend(att_target, iset.interests, x, seq.mask)
+            return ls.reattend_batch(att_target, interests, x, mask)
         if name == "reconstruct":
-            return ls.loss_reconstruct(iset.interests, x, sets, params)
-        target_emb = gc.reshape(gc.gather_rows(params.item_emb, np.array([target_id])),
-                                (hp.embed_dim,))
+            return ls.reconstruct_batch(interests, x, pos, params)
+        target_emb = gc.gather_rows(params.item_emb, np.array([target_id]))
         neg_emb = gc.gather_rows(params.item_emb, neg_ids)
-        rec = ls.loss_rec(iset.interests, target_emb, neg_emb, selected=selected[0])
+        rec = ls.rec_batch(interests, target_emb, neg_emb, selected=selected)
         if name == "rec":
             return rec
         samp = gc.gather_rows(params.item_emb, samp_ids)
-        cl = ls.loss_recontrast(iset.interests, x, sets, samp, hp.temperature)
-        att = ls.loss_reattend(att_target, iset.interests, x, seq.mask)
-        ct = ls.loss_reconstruct(iset.interests, x, sets, params)
+        cl = ls.recontrast_batch(interests, x, pos, neg, samp, samp_mask, hp.temperature)
+        att = ls.reattend_batch(att_target, interests, x, mask)
+        ct = ls.reconstruct_batch(interests, x, pos, params)
         total, _ = ls.combine(rec, cl, att, ct, combined_hp(hp))
         return total
 
@@ -441,7 +447,7 @@ def combined_hp(hp):
         embed_dim=hp.embed_dim, att_hidden_dim=hp.att_hidden_dim,
         recon_hidden_dim=hp.recon_hidden_dim, num_interests=hp.num_interests,
         max_seq_len=hp.max_seq_len, temperature=hp.temperature,
-        lambda_contrast=0.1, lambda_attend=1.0, lambda_reconstruct=0.1,
+        lambda_cl=0.1, lambda_att=1.0, lambda_ct=0.1,
     )
 
 
@@ -458,7 +464,7 @@ def test_loss_gradients_match_finite_differences(name):
 
 
 def test_compute_batch_losses_runs_and_reports_means():
-    hp = tiny_hp(lambda_contrast=0.1, lambda_attend=1.0, lambda_reconstruct=0.1,
+    hp = tiny_hp(lambda_cl=0.1, lambda_att=1.0, lambda_ct=0.1,
                  num_rec_negatives=6)
     rng = np.random.default_rng(0)
     params = m.ModelParams.init(30, hp, rng)

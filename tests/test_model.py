@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mirec import gradcore as gc
+from mirec import evaluation as ev
 from mirec import model as m
-from mirec.gradcore import Tensor
 
 
 def tiny_hp(**kw):
@@ -30,75 +29,76 @@ def test_hyperparams_validation():
 
 
 def test_sequence_truncates_to_last_items():
-    seq = m.BehaviorSequence.from_items(0, [1, 2, 3, 4, 5], max_seq_len=3)
-    np.testing.assert_array_equal(seq.item_ids, [3, 4, 5])
-    assert seq.length == 3
+    ids, mask = m.pad_sequences([[1, 2, 3, 4, 5]], max_seq_len=3)
+    np.testing.assert_array_equal(ids[0], [3, 4, 5])
+    assert mask[0].sum() == 3
 
 
 def test_sequence_empty_is_error():
     with pytest.raises(ValueError, match="empty"):
-        m.BehaviorSequence.from_items(7, [], max_seq_len=3)
+        m.pad_sequences([[]], max_seq_len=3)
+
+
+def embed_one(items, max_seq_len, params):
+    ids, mask = m.pad_sequences([items], max_seq_len)
+    return m.embed_batch(ids, mask, params).value[0]
 
 
 def test_embed_lookup():
     params, hp = make_params()
     params.item_emb.value[0, :2] = [1.0, 2.0]
-    seq = m.BehaviorSequence.from_items(0, [0], max_seq_len=1)
-    out = m.embed(seq, params)
-    np.testing.assert_array_equal(out.value[0, :2], [1.0, 2.0])
+    out = embed_one([0], 1, params)
+    np.testing.assert_array_equal(out[0, :2], [1.0, 2.0])
 
 
 def test_embed_pads_with_zero_rows():
     params, hp = make_params()
-    seq = m.BehaviorSequence.from_items(0, [4], max_seq_len=3)
-    out = m.embed(seq, params)
-    np.testing.assert_array_equal(out.value[1:], 0.0)
-    assert np.any(out.value[0] != 0.0)
+    out = embed_one([4], 3, params)
+    np.testing.assert_array_equal(out[1:], 0.0)
+    assert np.any(out[0] != 0.0)
 
 
 def test_embed_duplicate_ids_give_identical_rows():
     params, hp = make_params()
-    seq = m.BehaviorSequence.from_items(0, [5, 5], max_seq_len=2)
-    out = m.embed(seq, params)
-    np.testing.assert_array_equal(out.value[0], out.value[1])
+    out = embed_one([5, 5], 2, params)
+    np.testing.assert_array_equal(out[0], out[1])
 
 
 def test_embed_out_of_range_id_is_error():
     params, hp = make_params(num_items=10)
-    seq = m.BehaviorSequence.from_items(0, [10], max_seq_len=2)
     with pytest.raises(ValueError, match="item id 10"):
-        m.embed(seq, params)
+        embed_one([10], 2, params)
 
 
 def _forward(items, params, hp):
-    seq = m.BehaviorSequence.from_items(0, items, hp.max_seq_len)
-    x = m.embed(seq, params)
-    return m.extract_interests(x, seq.mask, params), seq
+    """(interests (n_z, d), attention (n_z, max_seq_len)) for one sequence."""
+    ids, mask = m.pad_sequences([items], hp.max_seq_len)
+    interests, attention = m.interest_forward(m.embed_batch(ids, mask, params), mask, params)
+    return interests.value[0], attention.value[0]
 
 
 def test_uniform_attention_when_hidden_weight_is_zero():
     params, hp = make_params()
     params.att_hidden.value[:] = 0.0
-    iset, seq = _forward([1, 2, 3], params, hp)
-    np.testing.assert_allclose(iset.attention.value, 1.0 / 3.0)
+    _, a = _forward([1, 2, 3], params, hp)
+    np.testing.assert_allclose(a, 1.0 / 3.0)
 
 
 def test_single_item_gets_full_attention_and_projected_value():
     params, hp = make_params()
-    iset, seq = _forward([4], params, hp)
-    np.testing.assert_allclose(iset.attention.value[:, 0], 1.0)
-    np.testing.assert_allclose(iset.attention.value[:, 1:], 0.0)
+    z, a = _forward([4], params, hp)
+    np.testing.assert_allclose(a[:, 0], 1.0)
+    np.testing.assert_allclose(a[:, 1:], 0.0)
     expected = params.val_proj.value @ params.item_emb.value[4]
     for k in range(hp.num_interests):
-        np.testing.assert_allclose(iset.interests.value[k], expected, atol=1e-12)
+        np.testing.assert_allclose(z[k], expected, atol=1e-12)
 
 
 def test_extract_interests_matches_naive_recomputation():
-    rng = np.random.default_rng(42)
     hp = tiny_hp(embed_dim=4, att_hidden_dim=6, num_interests=2, max_seq_len=3)
     params, _ = make_params(num_items=20, hp=hp, seed=3)
     items = [3, 11, 7]
-    iset, seq = _forward(items, params, hp)
+    z_all, a_all = _forward(items, params, hp)
     for k in range(hp.num_interests):
         logits = []
         for i in items:
@@ -109,8 +109,8 @@ def test_extract_interests_matches_naive_recomputation():
         z = np.zeros(hp.embed_dim)
         for j, i in enumerate(items):
             z += a[j] * (params.val_proj.value @ params.item_emb.value[i])
-        np.testing.assert_allclose(iset.attention.value[k], a, atol=1e-12)
-        np.testing.assert_allclose(iset.interests.value[k], z, atol=1e-12)
+        np.testing.assert_allclose(a_all[k], a, atol=1e-12)
+        np.testing.assert_allclose(z_all[k], z, atol=1e-12)
 
 
 def test_attention_rows_are_distributions_over_valid_positions():
@@ -120,8 +120,7 @@ def test_attention_rows_are_distributions_over_valid_positions():
     for _ in range(20):
         length = int(rng.integers(1, 7))
         items = rng.integers(0, 30, size=length).tolist()
-        iset, seq = _forward(items, params, hp)
-        a = iset.attention.value
+        _, a = _forward(items, params, hp)
         assert np.all(a >= 0)
         np.testing.assert_allclose(a[:, :length].sum(axis=1), 1.0, atol=1e-10)
         np.testing.assert_array_equal(a[:, length:], 0.0)
@@ -132,37 +131,36 @@ def test_permuting_positions_permutes_attention_and_keeps_interests():
     params, _ = make_params(num_items=20, hp=hp, seed=8)
     items = [3, 11, 7]
     perm = [2, 0, 1]
-    iset1, _ = _forward(items, params, hp)
-    iset2, _ = _forward([items[p] for p in perm], params, hp)
-    np.testing.assert_allclose(iset2.attention.value, iset1.attention.value[:, perm], atol=1e-12)
-    np.testing.assert_allclose(iset2.interests.value, iset1.interests.value, atol=1e-12)
+    z1, a1 = _forward(items, params, hp)
+    z2, a2 = _forward([items[p] for p in perm], params, hp)
+    np.testing.assert_allclose(a2, a1[:, perm], atol=1e-12)
+    np.testing.assert_allclose(z2, z1, atol=1e-12)
 
 
 def test_identical_queries_collapse_to_identical_interests():
     hp = tiny_hp(num_interests=3)
     params, _ = make_params(num_items=20, hp=hp, seed=2)
     params.att_query.value[:] = params.att_query.value[0]
-    iset, _ = _forward([1, 2, 3], params, hp)
+    z, _ = _forward([1, 2, 3], params, hp)
     for k in range(1, 3):
-        np.testing.assert_allclose(iset.interests.value[k], iset.interests.value[0], atol=1e-12)
+        np.testing.assert_allclose(z[k], z[0], atol=1e-12)
 
 
 def test_extract_interests_rejects_empty_mask():
-    params, hp = make_params()
-    x = Tensor(np.zeros((hp.max_seq_len, hp.embed_dim)))
-    with pytest.raises(ValueError, match="empty"):
-        m.extract_interests(x, np.zeros(hp.max_seq_len, dtype=bool), params)
+    # an empty row anywhere in a batch is refused before it could reach the
+    # extractor as a fully masked sequence
+    with pytest.raises(ValueError, match="sequence 1: empty"):
+        m.pad_sequences([[1, 2], []], max_seq_len=3)
 
 
 def test_score_trivials_and_hand_sum():
-    assert m.score(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-    assert m.score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert m.score(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])) == 32.0
+    # dot-product relevance of one interest to one item, as retrieval scores it
+    def score(z, y):
+        return float(ev.max_interest_scores(np.array([z]), np.array([y]))[0])
 
-
-def test_score_length_mismatch_is_error():
-    with pytest.raises(ValueError, match="equal-length"):
-        m.score(np.zeros(3), np.zeros(4))
+    assert score([1.0, 0.0], [1.0, 0.0]) == 1.0
+    assert score([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert score([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]) == 32.0
 
 
 def test_init_shapes_and_bounds():
@@ -211,3 +209,17 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="version"):
         m.load_checkpoint(str(path))
+
+
+def test_failed_save_leaves_previous_checkpoint_intact(tmp_path):
+    params, hp = make_params(num_items=14, seed=6)
+    path = tmp_path / "model.ckpt"
+    m.save_checkpoint(params, str(path))
+    before = path.read_bytes()
+    params.recon_query.value[0, 0] = np.nan  # the last tensor written
+    with pytest.raises(ValueError, match="non-finite parameter recon_query"):
+        m.save_checkpoint(params, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    loaded = m.load_checkpoint(str(path))
+    assert np.isfinite(loaded.recon_query.value).all()

@@ -195,7 +195,7 @@ def test_train_writes_bit_identical_checkpoints(tmp_path):
 
 def test_loss_trajectory_identical_across_runs():
     sp, num_items = tiny_split(3, users=20)
-    hp = tiny_hp(lambda_contrast=0.1, lambda_attend=1.0, lambda_reconstruct=0.1)
+    hp = tiny_hp(lambda_cl=0.1, lambda_att=1.0, lambda_ct=0.1)
     hists = []
     for _ in range(2):
         cfg = tr.TrainConfig(epochs=2, batch_size=16, seed=4, eval_every=0)
