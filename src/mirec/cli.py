@@ -18,8 +18,7 @@ from .data import SyntheticSpec, generate_synthetic, ingest, split, \
     write_atomic, write_interactions, write_labels, write_split_manifest
 from .diagnostics import diagnose, export_embeddings
 from .diagnostics import report_record as diag_record
-from .evaluation import evaluate_split, report_record, report_text, \
-    user_interests_for_profile
+from .evaluation import evaluate_split, report_record, report_text
 from .model import ModelParams, load_checkpoint
 from .trainer import train
 
@@ -123,15 +122,11 @@ def cmd_diagnose(args):
     hp = cfg.hyperparams()
     report = diagnose(params, sp.test, hp, k_global=cfg.diag_k,
                       init_mode=cfg.diag_init, seed=cfg.seed)
-    interests = {}
     item_ids = set()
-    for user in sorted(sp.test):
-        profile, holdout = sp.test[user]
-        interests[user] = user_interests_for_profile(profile, params,
-                                                     hp.max_seq_len)
+    for profile, holdout in sp.test.values():
         item_ids.update(profile)
         item_ids.update(holdout)
-    export_embeddings(params, interests, sorted(item_ids),
+    export_embeddings(params, report.user_interests, sorted(item_ids),
                       os.path.join(run, "embeddings.tsv"))
     record = (diag_record(report) +
               f" checkpoint={_file_hash(ckpt)}"

@@ -13,7 +13,7 @@ k = the interest count; the score is the fraction of users whose interests
 land in pairwise-distinct clusters.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,8 @@ class DiagnosticsReport:
     init_mode: str
     users: int
     skipped_interests: int
+    # user id -> (num_interests, d) interest vectors the scores were computed from
+    user_interests: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _assign(vectors, centroids):
@@ -237,7 +239,8 @@ def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
     intra = intra_score(per_user_labels, n_z)
     return DiagnosticsReport(inter=inter, intra=intra, k_global=k_global,
                              init_mode=init_mode, users=len(users),
-                             skipped_interests=skipped)
+                             skipped_interests=skipped,
+                             user_interests={u: v[0] for u, v in zip(users, per_user)})
 
 
 def export_embeddings(params, user_interests, item_ids, path):

@@ -94,16 +94,28 @@ class Tape:
                     seen.add(id(t))
                     t.grad = None
         loss.grad = np.ones((), dtype=np.float64)
+        # a VJP may hand one array to two parents (add) or return a read-only
+        # view (tsum, reshape, swapaxes), so gradients are never written to
         for out, parents, vjp in reversed(self.entries):
             if out.grad is None:
                 continue
             for t, g in zip(parents, vjp(out.grad)):
-                if g is None:
+                if g is not None:
+                    t.grad = g if t.grad is None else t.grad + g
+        # callers scale leaf gradients in place (clip_global_norm): give each
+        # leaf a writable float64 array that no other tensor holds
+        done = {id(out) for out, _, _ in self.entries}
+        claimed = {id(out.grad) for out, _, _ in self.entries}
+        for _, parents, _ in self.entries:
+            for t in parents:
+                if id(t) in done or t.grad is None:
                     continue
-                if t.grad is None:
-                    t.grad = np.array(g, dtype=np.float64)
-                else:
-                    t.grad += g
+                done.add(id(t))
+                g = t.grad
+                if (id(g) in claimed or g.base is not None or not g.flags.writeable
+                        or g.dtype != np.float64):
+                    g = t.grad = np.array(g, dtype=np.float64)
+                claimed.add(id(g))
 
 
 def _wrap(x):
@@ -126,37 +138,46 @@ def _unbroadcast(g, shape):
     return g
 
 
+# In add, sub, mul and div an operand passed as a plain array or number (a
+# mask, guard or constant) gets no gradient, so its VJP term is skipped.
+
+
 def add(a, b):
+    da, db = isinstance(a, Tensor), isinstance(b, Tensor)
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.value + b.value)
     ash, bsh = a.value.shape, b.value.shape
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, ash) if da else None,
+                                           _unbroadcast(g, bsh) if db else None))
 
 
 def sub(a, b):
+    da, db = isinstance(a, Tensor), isinstance(b, Tensor)
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.value - b.value)
     ash, bsh = a.value.shape, b.value.shape
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, ash) if da else None,
+                                           _unbroadcast(-g, bsh) if db else None))
 
 
 def mul(a, b):
+    da, db = isinstance(a, Tensor), isinstance(b, Tensor)
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.value * b.value)
     av, bv = a.value, b.value
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)),
-    )
+    return _record(out, (a, b), lambda g: (_unbroadcast(g * bv, av.shape) if da else None,
+                                           _unbroadcast(g * av, bv.shape) if db else None))
 
 
 def div(a, b):
+    da, db = isinstance(a, Tensor), isinstance(b, Tensor)
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.value / b.value)
     av, bv = a.value, b.value
     return _record(
         out, (a, b),
-        lambda g: (_unbroadcast(g / bv, av.shape), _unbroadcast(-g * av / (bv * bv), bv.shape)),
+        lambda g: (_unbroadcast(g / bv, av.shape) if da else None,
+                   _unbroadcast(-g * av / (bv * bv), bv.shape) if db else None),
     )
 
 
@@ -167,14 +188,27 @@ def neg(a):
 
 
 def matmul(a, b):
-    """Matrix product, batched over leading dims (both operands ndim >= 2)."""
+    """Matrix product, batched over leading dims (both operands ndim >= 2).
+
+    A 2-D right operand under a higher-dim left one (a weight applied to a
+    batch) runs as single GEMMs over the flattened leading dims, so its
+    gradient is one (k, n) x (n, m) product instead of a batched one summed
+    afterwards.
+    """
     a, b = _wrap(a), _wrap(b)
-    if a.value.ndim < 2 or b.value.ndim < 2:
-        raise ValueError(
-            f"matmul needs ndim >= 2 operands, got {a.value.shape} and {b.value.shape}"
-        )
-    out = Tensor(a.value @ b.value)
     av, bv = a.value, b.value
+    if av.ndim < 2 or bv.ndim < 2:
+        raise ValueError(f"matmul needs ndim >= 2 operands, got {av.shape} and {bv.shape}")
+    if bv.ndim == 2 and av.ndim > 2:
+        a2 = av.reshape(-1, av.shape[-1])
+        out = Tensor((a2 @ bv).reshape(av.shape[:-1] + bv.shape[1:]))
+
+        def vjp(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ bv.T).reshape(av.shape), a2.T @ g2
+
+        return _record(out, (a, b), vjp)
+    out = Tensor(av @ bv)
 
     def vjp(g):
         ga = _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape)
@@ -248,35 +282,37 @@ def concat(tensors, axis=0):
     return _record(out, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
+def _scatter_rows(rows, g, shape):
+    """Zeros of `shape` plus each row of g added at first-axis index rows[j].
+
+    One weighted bincount over flat (row, column) keys; it adds in input
+    order, as np.add.at does, so the two agree bit for bit.
+    """
+    width = int(np.prod(shape[1:], dtype=np.int64))
+    keys = (rows.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    flat = np.bincount(keys, weights=g.reshape(-1), minlength=shape[0] * width)
+    return flat.reshape(shape)
+
+
 def gather_rows(a, idx):
-    """a[idx] for an integer index array; rows scatter-add on backward."""
+    """a[idx] for a non-negative integer index array; rows scatter-add on backward."""
     a = _wrap(a)
     idx = np.asarray(idx)
     out = Tensor(a.value[idx])
     ash = a.value.shape
-
-    def vjp(g):
-        ga = np.zeros(ash, dtype=np.float64)
-        np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _record(out, (a,), vjp)
+    return _record(out, (a,), lambda g: (_scatter_rows(idx, g, ash),))
 
 
 def take_per_row(a, idx):
     """out[b] = a[b, idx[b]]; works for a of ndim >= 2."""
     a = _wrap(a)
     idx = np.asarray(idx)
-    rows = np.arange(a.value.shape[0])
-    out = Tensor(a.value[rows, idx])
     ash = a.value.shape
-
-    def vjp(g):
-        ga = np.zeros(ash, dtype=np.float64)
-        np.add.at(ga, (rows, idx), g)
-        return (ga,)
-
-    return _record(out, (a,), vjp)
+    rows = np.arange(ash[0])
+    out = Tensor(a.value[rows, idx])
+    flat_shape = (ash[0] * ash[1],) + ash[2:]
+    return _record(out, (a,), lambda g: (
+        _scatter_rows(rows * ash[1] + idx, g, flat_shape).reshape(ash),))
 
 
 def stop_grad(a):

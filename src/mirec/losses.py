@@ -51,37 +51,41 @@ def sample_out_of_seq_batch(item_ids, mask, num_items, num_interests, sizes, rng
     """Sample per-interest negative item ids outside each example's sequence.
 
     sizes is per-example; rows are padded to max(sizes) with sample_mask
-    marking real draws. Items are drawn uniformly with replacement from the
-    complement of the sequence, resampled on collision.
+    marking real draws and id 0 in the padded slots. Items are drawn
+    uniformly with replacement from the complement of the sequence: one
+    (B, num_interests, max(sizes)) block is drawn, then the slots that hit
+    their example's sequence are redrawn, batch-wide, until none do.
     """
     item_ids = np.asarray(item_ids)
     mask = np.asarray(mask, dtype=bool)
     sizes = np.asarray(sizes, dtype=np.int64)
     b = item_ids.shape[0]
     s_max = int(sizes.max()) if b else 0
-    out = np.zeros((b, num_interests, s_max), dtype=np.int64)
-    sample_mask = np.zeros((b, num_interests, s_max), dtype=bool)
-    for i in range(b):
-        forbidden = np.unique(item_ids[i, mask[i]])
-        if num_items - forbidden.size < 1:
-            raise ValueError(
-                f"example {i}: sequence covers all {num_items} items, "
-                "no out-of-sequence negatives exist"
-            )
-        s = int(sizes[i])
-        if s == 0:
-            continue
-        draw = rng.integers(0, num_items, size=(num_interests, s))
-        for _ in range(max_rounds):
-            bad = np.isin(draw, forbidden)
-            if not bad.any():
-                break
-            draw[bad] = rng.integers(0, num_items, size=int(bad.sum()))
-        else:
-            raise RuntimeError(f"example {i}: out-of-sequence sampling did not converge")
-        out[i, :, :s] = draw
-        sample_mask[i, :, :s] = True
-    return out, sample_mask
+    seq = np.sort(np.where(mask, item_ids, -1), axis=1)  # -1 is never drawn
+    valid = seq >= 0
+    distinct = valid.sum(axis=1) - (valid[:, 1:] & (seq[:, 1:] == seq[:, :-1])).sum(axis=1)
+    full = np.flatnonzero(distinct >= num_items)
+    if full.size:
+        raise ValueError(
+            f"example {int(full[0])}: sequence covers all {num_items} items, "
+            "no out-of-sequence negatives exist"
+        )
+    sample_mask = np.broadcast_to((np.arange(s_max) < sizes[:, None])[:, None, :],
+                                  (b, num_interests, s_max)).copy()
+    draw = rng.integers(0, num_items, size=(b, num_interests, s_max))
+    hit = sample_mask & (draw[..., None] == seq[:, None, None, :]).any(axis=-1)
+    ex, k, slot = np.nonzero(hit)
+    rounds = 0
+    while ex.size:
+        if rounds == max_rounds:
+            raise RuntimeError(
+                f"example {int(ex[0])}: out-of-sequence sampling did not converge")
+        rounds += 1
+        redraw = rng.integers(0, num_items, size=ex.size)
+        draw[ex, k, slot] = redraw
+        again = (redraw[:, None] == seq[ex]).any(axis=1)
+        ex, k, slot = ex[again], k[again], slot[again]
+    return np.where(sample_mask, draw, 0), sample_mask
 
 
 def _l2_normalize(t):
@@ -96,9 +100,11 @@ def _l2_normalize(t):
     return t / norm
 
 
-def _check_nonzero_norms(values, what, axis=-1, where=None):
-    norms = np.linalg.norm(values, axis=axis)
-    zero = norms == 0.0
+def _check_nonzero_norms(values, what, where=None, index=None):
+    """Reject zero-norm rows of values; index maps reported positions to rows."""
+    zero = np.linalg.norm(values, axis=-1) == 0.0
+    if index is not None:
+        zero = zero[index]
     if where is not None:
         zero = zero & where
     if zero.any():
@@ -107,12 +113,15 @@ def _check_nonzero_norms(values, what, axis=-1, where=None):
 
 
 def recontrast_batch(interests, x_emb, pos_mask, neg_mask, sampled_emb, sampled_mask,
-                     temperature):
+                     temperature, sampled_idx=None):
     """Sum over the batch of the InfoNCE loss; empty positive sets contribute 0.
 
     For each interest k and positive position i, the negatives are the
     interest's in-sequence negatives, the other interests, and its sampled
-    out-of-sequence items; every vector is L2-normalized first.
+    out-of-sequence items; every vector is L2-normalized first. sampled_emb
+    holds the sampled vectors, (B, n_z, S, d); or, with sampled_idx (B, n_z,
+    S) given, the (U, d) rows those slots index, so that a vector drawn for
+    many slots is normalized once.
     """
     b, n_z, n_x = pos_mask.shape
     valid = pos_mask | neg_mask
@@ -128,10 +137,12 @@ def recontrast_batch(interests, x_emb, pos_mask, neg_mask, sampled_emb, sampled_
         gc.masked_logsumexp(sims, neg_mask, axis=-1),
         gc.masked_logsumexp(inter, off_diag, axis=-1),
     )
-    if sampled_emb is not None and sampled_emb.value.shape[2] > 0:
+    if sampled_emb is not None and sampled_mask.shape[2] > 0:
         _check_nonzero_norms(sampled_emb.value, "sampled negative (example, interest, slot)",
-                             where=sampled_mask)
-        n_bar = _l2_normalize(sampled_emb)  # (B, n_z, S, d)
+                             where=sampled_mask, index=sampled_idx)
+        n_bar = _l2_normalize(sampled_emb)
+        if sampled_idx is not None:
+            n_bar = gc.gather_rows(n_bar, sampled_idx)  # (B, n_z, S, d)
         d = z_bar.value.shape[-1]
         z_col = gc.reshape(z_bar, (b, n_z, d, 1))
         samp_sims = gc.reshape(gc.matmul(n_bar, z_col),
@@ -250,9 +261,11 @@ def compute_batch_losses(item_ids, mask, target_ids, params, hp, rng):
                  if hp.num_seq_negatives is not None else mask.sum(axis=1))
         samp_ids, samp_mask = sample_out_of_seq_batch(
             item_ids, mask, num_items, hp.num_interests, sizes, rng)
-        samp_emb = gc.gather_rows(params.item_emb, samp_ids)
-        contrast_sum = recontrast_batch(interests, x_emb, pos_mask, neg_mask,
-                                        samp_emb, samp_mask, hp.temperature)
+        uniq, inverse = np.unique(samp_ids, return_inverse=True)
+        uniq_emb = gc.gather_rows(params.item_emb, uniq)
+        contrast_sum = recontrast_batch(interests, x_emb, pos_mask, neg_mask, uniq_emb,
+                                        samp_mask, hp.temperature,
+                                        sampled_idx=inverse.reshape(samp_ids.shape))
     if hp.lambda_att != 0.0:
         attend_sum = reattend_batch(attention, interests, x_emb, mask)
     if hp.lambda_ct != 0.0:

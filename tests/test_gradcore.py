@@ -121,6 +121,81 @@ def test_backward_is_bit_deterministic():
     assert grads[0] == grads[1]
 
 
+def test_add_gives_each_parent_its_own_gradient():
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
+    w = np.arange(6.0).reshape(2, 3)
+    with Tape() as tape:
+        loss = gc.tsum(gc.add(a, b) * w)
+    tape.backward(loss)
+    a.grad *= 2.0
+    np.testing.assert_array_equal(b.grad, w)
+    np.testing.assert_array_equal(a.grad, 2.0 * w)
+
+
+@pytest.mark.parametrize("route", ["swapaxes", "reshape", "tsum"])
+def test_leaf_gradient_is_owned_and_writable(route):
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    with Tape() as tape:
+        if route == "swapaxes":
+            loss = gc.tsum(gc.swapaxes(x, 0, 1) * np.ones((3, 2)))
+        elif route == "reshape":
+            loss = gc.tsum(gc.reshape(x, (3, 2)) * np.ones((3, 2)))
+        else:
+            loss = gc.tsum(x)  # gradient arrives as a broadcast of the scalar seed
+    tape.backward(loss)
+    g = x.grad
+    assert g.dtype == np.float64 and g.shape == (2, 3)
+    assert g.flags.writeable and g.flags.owndata
+    g *= 3.0
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
+    assert loss.grad == 1.0
+
+
+@pytest.mark.parametrize("op", [gc.mul, gc.div])
+def test_plain_array_operand_leaves_tensor_gradients_unchanged(op):
+    rng = np.random.default_rng(4)
+    x_val = rng.normal(size=(3, 4))
+    c = 0.5 + np.abs(rng.normal(size=(4,)))
+    w = rng.normal(size=(3, 4))
+    grads = []
+    for const in (c, Tensor(c)):
+        x = Tensor(x_val.copy())
+        with Tape() as tape:
+            loss = gc.tsum(op(x, const) * w)
+        tape.backward(loss)
+        grads.append(x.grad)
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def test_gather_rows_gradient_equals_add_at():
+    rng = np.random.default_rng(8)
+    a = Tensor(rng.normal(size=(7, 5)))
+    idx = rng.integers(0, 3, size=(6, 9, 4))  # 3-D index, rows repeated ~70 times
+    g = rng.normal(size=idx.shape + (5,))
+    with Tape() as tape:
+        loss = gc.tsum(gc.gather_rows(a, idx) * g)
+    tape.backward(loss)
+    ref = np.zeros((7, 5))
+    np.add.at(ref, idx, g)
+    assert a.grad.tobytes() == ref.tobytes()
+
+
+def test_take_per_row_gradient_equals_add_at():
+    rng = np.random.default_rng(9)
+    a = Tensor(rng.normal(size=(50, 3, 4)))
+    idx = rng.integers(0, 3, size=50)
+    g = rng.normal(size=(50, 4))
+    with Tape() as tape:
+        loss = gc.tsum(gc.take_per_row(a, idx) * g)
+        loss = loss + gc.tsum(gc.take_per_row(a, np.zeros(50, dtype=np.int64)) * g)
+    tape.backward(loss)
+    rows = np.arange(50)
+    first, second = np.zeros(a.shape), np.zeros(a.shape)
+    np.add.at(first, (rows, idx), g)
+    np.add.at(second, (rows, np.zeros(50, dtype=np.int64)), g)
+    assert a.grad.tobytes() == (second + first).tobytes()
+
+
 def test_forward_without_tape_matches_taped_forward():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 4))
@@ -207,6 +282,15 @@ def _inst_matmul(rng):
         b = Tensor(rng.normal(size=(4, 5)))
         w = rng.normal(size=(3, 5))
     return lambda ps: gc.tsum(gc.matmul(ps[0], ps[1]) * w), [a, b]
+
+
+def _inst_matmul_4d_weight(_rng):
+    """The reconstruct shape: a (B, n_z, n_x, d_b) batch times a transposed weight."""
+    rng = np.random.default_rng(12)
+    a = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    w = Tensor(rng.normal(size=(6, 5)))
+    c = rng.normal(size=(2, 3, 4, 6))
+    return lambda ps: gc.tsum(gc.matmul(ps[0], gc.swapaxes(ps[1], 0, 1)) * c), [a, w]
 
 
 def _inst_tanh(rng):
@@ -329,6 +413,7 @@ PRIMITIVES = [
     ("div", _inst_div),
     ("neg", _inst_neg),
     ("matmul", _inst_matmul),
+    ("matmul_4d_weight", _inst_matmul_4d_weight),
     ("tanh", _inst_tanh),
     ("exp", _inst_exp),
     ("log", _inst_log),

@@ -114,6 +114,42 @@ def test_out_of_seq_sampling_is_deterministic():
     np.testing.assert_array_equal(draws[0], draws[1])
 
 
+def test_out_of_seq_padded_slots_hold_id_zero_and_are_masked():
+    rng = np.random.default_rng(3)
+    ids = rng.integers(1, 40, size=(4, 6))
+    mask = np.ones((4, 6), bool)
+    mask[1, 3:] = False
+    sizes = np.array([5, 0, 2, 7])
+    out, smask = ls.sample_out_of_seq_batch(ids, mask, 40, 3, sizes, rng)
+    assert out.shape == smask.shape == (4, 3, 7)
+    for b in range(4):
+        assert smask[b, :, : sizes[b]].all()
+        assert not smask[b, :, sizes[b]:].any()
+        assert (out[b, :, sizes[b]:] == 0).all()
+
+
+def test_out_of_seq_sampling_gives_up_after_max_rounds():
+    # one free item of 20: a 40-slot draw collides, and no redraw is allowed
+    ids = np.arange(19)[None, :]
+    mask = np.ones((1, 19), bool)
+    with pytest.raises(RuntimeError, match="example 0.*did not converge"):
+        ls.sample_out_of_seq_batch(ids, mask, 20, 2, np.array([20]),
+                                   np.random.default_rng(0), max_rounds=0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        ls.sample_out_of_seq_batch(ids, mask, 20, 2, np.array([20]),
+                                   np.random.default_rng(0), max_rounds=2)
+
+
+def test_out_of_seq_full_coverage_error_names_the_example():
+    # example 0 leaves item 3 free behind its mask, example 1 repeats item 2
+    ids = np.array([[0, 1, 2, 3], [0, 1, 2, 2], [3, 2, 1, 0]])
+    mask = np.ones((3, 4), bool)
+    mask[0, 3] = False
+    with pytest.raises(ValueError, match="example 2: sequence covers all 4 items"):
+        ls.sample_out_of_seq_batch(ids, mask, 4, 2, np.array([1, 1, 1]),
+                                   np.random.default_rng(0))
+
+
 # -------------------------------------------------------------- recontrast
 
 
@@ -184,6 +220,29 @@ def test_recontrast_decreases_as_positive_aligns_with_interest():
 def test_recontrast_zero_norm_vector_is_error():
     with pytest.raises(ValueError, match="zero-norm.*interest"):
         recontrast([[0.0, 0.0]], [[1.0, 0.0]], [[True]], [[False]], None, 1.0)
+
+
+def test_recontrast_sampled_rows_by_index_match_gathered_block():
+    rng = np.random.default_rng(5)
+    z, x = batch1(rng.normal(size=(2, 3)), rng.normal(size=(4, 3)))
+    pos = rng.random((1, 2, 4)) < 0.5
+    table = Tensor(rng.normal(size=(3, 3)))
+    idx = np.array([[[0, 2, 2], [1, 0, 2]]])
+    smask = np.array([[[True, True, False], [True, True, True]]])
+    by_index = ls.recontrast_batch(z, x, pos, ~pos, table, smask, 0.5, sampled_idx=idx)
+    block = ls.recontrast_batch(z, x, pos, ~pos, gc.gather_rows(table, idx), smask, 0.5)
+    assert by_index.value == block.value
+
+
+def test_recontrast_zero_norm_sampled_row_names_its_slot():
+    z, x = batch1([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 1.0, 0.0]])
+    table = Tensor(np.ones((3, 3)))
+    table.value[1] = 0.0
+    idx = np.array([[[0, 1], [1, 2]]])
+    smask = np.array([[[True, False], [True, True]]])  # slot (0, 0, 1) is padding
+    with pytest.raises(ValueError, match=r"sampled negative.*\(0, 1, 0\)"):
+        ls.recontrast_batch(z, x, np.ones((1, 2, 1), bool), np.zeros((1, 2, 1), bool),
+                            table, smask, 1.0, sampled_idx=idx)
 
 
 def test_recontrast_empty_positives_give_exactly_zero():
