@@ -55,17 +55,24 @@ def _file_hash(path):
     return digest.hexdigest()[:12]
 
 
-def _checked_params(path, cfg, num_items):
-    params = load_checkpoint(path)
-    ck_items, d, d_h, d_b, n_x, n_z = params.dims()
-    want = (num_items, cfg.embed_dim, cfg.att_hidden_dim,
+def _load_trained_run(args):
+    """Config, run dir, checkpoint path, split, checkpoint params and
+    hyperparameters of an eval or diagnose run; the checkpoint dims must match
+    the dataset and config."""
+    cfg = _load_cfg(args)
+    run = _run_dir(cfg)
+    ckpt = args.checkpoint or os.path.join(run, "checkpoint.bin")
+    if not os.path.exists(ckpt):
+        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
+    log, sp = _load_dataset(cfg)
+    params = load_checkpoint(ckpt)
+    want = (len(log.item_tokens), cfg.embed_dim, cfg.att_hidden_dim,
             cfg.recon_hidden_dim, cfg.max_seq_len, cfg.num_interests)
-    got = (ck_items, d, d_h, d_b, n_x, n_z)
-    if got != want:
+    if params.dims() != want:
         raise ValueError(
-            f"checkpoint dims (items,d,d_h,d_b,n_x,n_z)={got} do not match "
-            f"dataset+config {want}")
-    return params
+            f"checkpoint dims (items,d,d_h,d_b,n_x,n_z)={params.dims()} do not "
+            f"match dataset+config {want}")
+    return cfg, run, ckpt, sp, params, cfg.hyperparams()
 
 
 def cmd_train(args):
@@ -90,14 +97,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = _load_cfg(args)
-    run = _run_dir(cfg)
-    ckpt = args.checkpoint or os.path.join(run, "checkpoint.bin")
-    if not os.path.exists(ckpt):
-        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    log, sp = _load_dataset(cfg)
-    params = _checked_params(ckpt, cfg, len(log.item_tokens))
-    hp = cfg.hyperparams()
+    cfg, run, ckpt, sp, params, hp = _load_trained_run(args)
     report = evaluate_split(params, sp.test, hp, cutoffs=cfg.cutoff_list())
     record = report_record(
         report, dataset=cfg.dataset, num_interests=cfg.num_interests,
@@ -112,14 +112,7 @@ def cmd_eval(args):
 
 
 def cmd_diagnose(args):
-    cfg = _load_cfg(args)
-    run = _run_dir(cfg)
-    ckpt = args.checkpoint or os.path.join(run, "checkpoint.bin")
-    if not os.path.exists(ckpt):
-        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    log, sp = _load_dataset(cfg)
-    params = _checked_params(ckpt, cfg, len(log.item_tokens))
-    hp = cfg.hyperparams()
+    cfg, run, ckpt, sp, params, hp = _load_trained_run(args)
     report = diagnose(params, sp.test, hp, k_global=cfg.diag_k,
                       init_mode=cfg.diag_init, seed=cfg.seed)
     item_ids = set()

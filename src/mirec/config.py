@@ -7,7 +7,8 @@ to its outputs, so any run can be reproduced from that file alone.
 """
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
+from typing import Literal, get_args, get_origin
 
 from .model import HyperParams
 from .trainer import TrainConfig
@@ -29,13 +30,6 @@ def _as_opt_int(s):
     return int(s)
 
 
-def _as_diag_init(s):
-    s = str(s).strip()
-    if s not in ("kmeanspp", "user_interests"):
-        raise ValueError(f"expected kmeanspp or user_interests, got {s!r}")
-    return s
-
-
 def _as_threshold(s):
     s = str(s).strip()
     if s == "adaptive":
@@ -43,43 +37,23 @@ def _as_threshold(s):
     return float(s)
 
 
-@dataclass
-class RunConfig:
-    # data
-    dataset: str = ""
-    output_dir: str = "run"
-    seed: int = 0
-    train_ratio: float = 0.8
-    valid_ratio: float = 0.1
-    test_ratio: float = 0.1
-    min_interactions: int = 5
-    holdout_frac: float = 0.2
-    # model
-    embed_dim: int = 64
-    att_hidden_dim: int = 256
-    recon_hidden_dim: int = 32
-    num_interests: int = 8
-    max_seq_len: int = 20
-    temperature: float = 0.02
-    pos_threshold: object = "adaptive"
-    lambda_cl: float = 0.0
-    lambda_att: float = 0.0
-    lambda_ct: float = 0.0
-    num_rec_negatives: int = 128
-    num_seq_negatives: object = None
-    logq_correction: bool = False
-    # training
-    epochs: int = 30
-    batch_size: int = 128
-    eval_every: int = 1
-    patience: int = 0
-    lr: float = 0.003
-    weight_decay: float = 1e-5
-    clip_norm: float = 5.0
-    # evaluation / diagnostics
-    cutoffs: str = "20,50"
-    diag_k: object = None
-    diag_init: str = "kmeanspp"
+# value parser per declared field type; a Literal type takes one of its values
+_PARSERS = {int: int, float: float, str: str, bool: _as_bool,
+            int | None: _as_opt_int, float | str: _as_threshold}
+
+
+def _parse(tp, s):
+    """The value of declared type `tp` written as the config string `s`."""
+    if get_origin(tp) is Literal:
+        s = str(s).strip()
+        if s not in get_args(tp):
+            raise ValueError(f"expected {' or '.join(get_args(tp))}, got {s!r}")
+        return s
+    return _PARSERS[tp](s)
+
+
+class _RunConfigMethods:
+    """What a RunConfig builds from its keys; the keys are declared below."""
 
     def _build(self, cls, **extra):
         """cls built from this config's same-named fields, plus `extra`."""
@@ -115,39 +89,30 @@ class RunConfig:
         return tuple(sorted(set(vals)))
 
 
-_CASTERS = {
-    "dataset": str,
-    "output_dir": str,
-    "seed": int,
-    "train_ratio": float,
-    "valid_ratio": float,
-    "test_ratio": float,
-    "min_interactions": int,
-    "holdout_frac": float,
-    "embed_dim": int,
-    "att_hidden_dim": int,
-    "recon_hidden_dim": int,
-    "num_interests": int,
-    "max_seq_len": int,
-    "temperature": float,
-    "pos_threshold": _as_threshold,
-    "lambda_cl": float,
-    "lambda_att": float,
-    "lambda_ct": float,
-    "num_rec_negatives": int,
-    "num_seq_negatives": _as_opt_int,
-    "logq_correction": _as_bool,
-    "epochs": int,
-    "batch_size": int,
-    "eval_every": int,
-    "patience": int,
-    "lr": float,
-    "weight_decay": float,
-    "clip_norm": float,
-    "cutoffs": str,
-    "diag_k": _as_opt_int,
-    "diag_init": _as_diag_init,
-}
+def _keys_of(cls, skip=()):
+    return [(f.name, f.type, f.default) for f in fields(cls) if f.name not in skip]
+
+
+# Key order (data, model, training, evaluation) is render order, so it is part
+# of config_hash. The model and training keys are the fields of HyperParams and
+# TrainConfig; `seed` is a data key, and the CLI sets the two output paths.
+RunConfig = make_dataclass("RunConfig", [
+    ("dataset", str, ""),
+    ("output_dir", str, "run"),
+    ("seed", int, 0),
+    ("train_ratio", float, 0.8),
+    ("valid_ratio", float, 0.1),
+    ("test_ratio", float, 0.1),
+    ("min_interactions", int, 5),
+    ("holdout_frac", float, 0.2),
+    *_keys_of(HyperParams),
+    *_keys_of(TrainConfig, skip=("seed", "checkpoint_path", "log_path")),
+    ("cutoffs", str, "20,50"),
+    ("diag_k", int | None, None),
+    ("diag_init", Literal["kmeanspp", "user_interests"], "kmeanspp"),
+], bases=(_RunConfigMethods,), namespace={"__module__": __name__})
+
+_KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_text(text, source="<config>"):
@@ -162,7 +127,7 @@ def parse_config_text(text, source="<config>"):
                              f"got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CASTERS:
+        if key not in _KEY_TYPES:
             raise ValueError(f"{source}: line {lineno}: unknown config key {key!r}")
         if key in raw:
             raise ValueError(f"{source}: line {lineno}: duplicate key {key!r}")
@@ -178,7 +143,7 @@ def apply_overrides(raw, overrides):
             raise ValueError(f"override {item!r} is not of the form key=value")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in _CASTERS:
+        if key not in _KEY_TYPES:
             raise ValueError(f"unknown config key {key!r}")
         out[key] = value.strip()
     return out
@@ -189,7 +154,7 @@ def resolve(raw):
     kwargs = {}
     for key, value in raw.items():
         try:
-            kwargs[key] = _CASTERS[key](value)
+            kwargs[key] = _parse(_KEY_TYPES[key], value)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from exc
     return RunConfig(**kwargs)

@@ -7,6 +7,7 @@ pair so retrieval is scored on unseen suffixes.
 """
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
@@ -126,20 +127,27 @@ def ingest(path, fmt=None):
 
 def write_interactions(log, path, fmt=None):
     """Write a log back to disk in token form; ingest() of the result round-trips."""
-    delim = _delimiter_for(path, fmt)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, delimiter=delim, lineterminator="\n")
-        for u, i, t in zip(log.user_ids, log.item_ids, log.timestamps):
-            writer.writerow([log.user_tokens[u], log.item_tokens[i], int(t)])
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=_delimiter_for(path, fmt), lineterminator="\n")
+    writer.writerows([log.user_tokens[u], log.item_tokens[i], int(t)]
+                     for u, i, t in zip(log.user_ids, log.item_ids, log.timestamps))
+    write_atomic(path, buf.getvalue())
 
 
 def write_atomic(path, data):
-    """Write str (as UTF-8) or bytes to a temp file beside path, then rename it
-    over path, so readers see the old file or the new one, never a partial one."""
+    """Write str (as UTF-8), bytes, or an iterable of str chunks to a temp file
+    beside path, then rename it over path, so readers see the old file or the
+    new one, never a partial one. A failed write removes the temp file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in [data] if isinstance(data, (str, bytes)) else data:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def user_sequences(log):
@@ -187,11 +195,9 @@ def split(log, ratios=(0.8, 0.1, 0.1), seed=0, min_interactions=5, holdout_frac=
 
 def write_split_manifest(split_result, path):
     """One `user<TAB>tag` line per user, tags in {train, valid, test}."""
-    with open(path, "w") as f:
-        for tag, users in (("train", split_result.train), ("valid", split_result.valid),
-                           ("test", split_result.test)):
-            for u in users:
-                f.write(f"{u}\t{tag}\n")
+    parts = (("train", split_result.train), ("valid", split_result.valid),
+             ("test", split_result.test))
+    write_atomic(path, (f"{u}\t{tag}\n" for tag, users in parts for u in users))
 
 
 def generate_synthetic(spec):
@@ -249,9 +255,7 @@ def write_labels(labels, item_tokens, path):
     Keyed by token so the labels survive re-ingestion, which reassigns dense
     indices by first appearance.
     """
-    with open(path, "w") as f:
-        for tok, c in zip(item_tokens, labels):
-            f.write(f"{tok}\t{int(c)}\n")
+    write_atomic(path, (f"{tok}\t{int(c)}\n" for tok, c in zip(item_tokens, labels)))
 
 
 def read_labels(path):

@@ -13,11 +13,13 @@ k = the interest count; the score is the fraction of users whose interests
 land in pairwise-distinct clusters.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
+from .data import write_atomic
 from .losses import select_positives_batch
 
 
@@ -86,13 +88,13 @@ def _init_kmeanspp(vectors, k, rng):
     return vectors[chosen].copy()
 
 
-def kmeans(vectors, k, init_mode="kmeanspp", seed=0, max_iter=100,
-           init_centroids=None):
+def kmeans(vectors, k, seed=0, max_iter=100, init_centroids=None):
     """Lloyd iterations with dot-product assignment and mean updates.
 
-    init_mode "kmeanspp" adapts the usual seeding by shifting negative-dot
-    distances to be non-negative before squaring; "user_interests" seeds the
-    centroids with the given vectors (typically a user's interest vectors).
+    With init_centroids None the centroids are seeded by k-means++, adapted by
+    shifting negative-dot distances to be non-negative before squaring;
+    otherwise the given (k, d) vectors (typically a user's interest vectors)
+    are the initial centroids.
     """
     v = np.asarray(vectors, dtype=np.float64)
     n = v.shape[0]
@@ -101,17 +103,13 @@ def kmeans(vectors, k, init_mode="kmeanspp", seed=0, max_iter=100,
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available vectors")
     rng = np.random.default_rng(seed)
-    if init_mode == "kmeanspp":
+    if init_centroids is None:
         centroids = _init_kmeanspp(v, k, rng)
-    elif init_mode == "user_interests":
-        if init_centroids is None:
-            raise ValueError("user_interests init requires init_centroids")
+    else:
         centroids = np.array(init_centroids, dtype=np.float64)
         if centroids.shape != (k, v.shape[1]):
             raise ValueError(f"init_centroids shape {centroids.shape} does not "
                              f"match (k={k}, d={v.shape[1]})")
-    else:
-        raise ValueError(f"unknown init_mode {init_mode!r}")
 
     labels = _assign(v, centroids)
     labels, centroids, reseeded = _repair_empties(v, labels, centroids)
@@ -187,7 +185,11 @@ def _user_vectors(params, profile, holdout, hp):
 
 
 def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
-    """INTER and INTRA scores over a (profile, holdout) split part."""
+    """INTER and INTRA scores over a (profile, holdout) split part.
+
+    init_mode "user_interests" seeds the clusterings from interest vectors;
+    "kmeanspp", the other mode the config accepts, seeds them by k-means++.
+    """
     if not part:
         raise ValueError("empty split part")
     users = sorted(part)
@@ -217,24 +219,21 @@ def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
     if k_global is None:
         k_global = min(n_z * len(users), 64)
     k_global = min(k_global, matrix.shape[0])
-    if init_mode == "user_interests":
+    by_interests = init_mode == "user_interests"
+    global_seeds = None
+    if by_interests:
         # seed the global clustering with a sample of the interest rows
         chosen = np.random.default_rng(seed).choice(
             n_interest_rows, size=k_global, replace=False)
-        assignment = kmeans(matrix, k_global, init_mode=init_mode, seed=seed,
-                            init_centroids=matrix[np.sort(chosen)])
-    else:
-        assignment = kmeans(matrix, k_global, init_mode=init_mode, seed=seed)
+        global_seeds = matrix[np.sort(chosen)]
+    assignment = kmeans(matrix, k_global, seed=seed, init_centroids=global_seeds)
     inter, skipped = inter_score(assignment, interest_items)
 
     per_user_labels = []
     for interests, _, item_ids in per_user:
         local = np.vstack([interests, emb[item_ids]])
-        if init_mode == "user_interests":
-            local_assign = kmeans(local, n_z, init_mode=init_mode, seed=seed,
-                                  init_centroids=interests)
-        else:
-            local_assign = kmeans(local, n_z, init_mode=init_mode, seed=seed)
+        local_assign = kmeans(local, n_z, seed=seed,
+                              init_centroids=interests if by_interests else None)
         per_user_labels.append(local_assign.labels[:n_z])
     intra = intra_score(per_user_labels, n_z)
     return DiagnosticsReport(inter=inter, intra=intra, k_global=k_global,
@@ -250,19 +249,14 @@ def export_embeddings(params, user_interests, item_ids, path):
     index 0. Floats use repr precision so a read round-trips exactly.
     """
     emb = params.item_emb.value
-    rows = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for user in sorted(user_interests):
-            z = user_interests[user]
-            for k in range(z.shape[0]):
-                vec = "\t".join(f"{x:.17g}" for x in z[k])
-                fh.write(f"interest\t{user}\t{k}\t{vec}\n")
-                rows += 1
-        for item in sorted(set(int(i) for i in item_ids)):
-            vec = "\t".join(f"{x:.17g}" for x in emb[item])
-            fh.write(f"item\t{item}\t0\t{vec}\n")
-            rows += 1
-    return rows
+    items = sorted(set(int(i) for i in item_ids))
+    rows = itertools.chain(
+        (("interest", user, k, vec) for user in sorted(user_interests)
+         for k, vec in enumerate(user_interests[user])),
+        (("item", item, 0, emb[item]) for item in items))
+    write_atomic(path, (f"{kind}\t{owner}\t{k}\t" + "\t".join(f"{x:.17g}" for x in vec) + "\n"
+                        for kind, owner, k, vec in rows))
+    return sum(len(z) for z in user_interests.values()) + len(items)
 
 
 def read_embeddings(path):

@@ -8,7 +8,7 @@ training and plain numpy otherwise.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,54 +52,49 @@ class HyperParams:
             raise ValueError(f"num_rec_negatives must be >= 1, got {self.num_rec_negatives}")
 
 
+def tensor_shapes(num_items, d, d_h, d_b, n_x, n_z):
+    """Name -> shape of every trainable tensor, in checkpoint order.
+
+    The last axis of each shape is the tensor's fan-in.
+    """
+    return {
+        "item_emb": (num_items, d),
+        "att_hidden": (d_h, d),  # shared attention transform
+        "att_query": (n_z, d_h),  # one query per interest
+        "val_proj": (d, d),  # value projection for interest pooling
+        "recon_hidden": (d_b, d_b),  # slot transform in the reconstruction attention
+        "recon_expand": (n_x * d_b, d),  # interest -> slot codes
+        "recon_out": (d, d_b),  # slot code -> item-embedding space
+        "recon_query": (n_x, d_b),  # one query per reconstructed position
+    }
+
+
 @dataclass
 class ModelParams:
-    """All trainable tensors.
+    """All trainable tensors, shaped and ordered as in tensor_shapes()."""
 
-    Checkpoint order is the order of named(): item_emb, att_hidden,
-    att_query, val_proj, recon_hidden, recon_expand, recon_out, recon_query.
-    """
-
-    item_emb: Tensor  # (num_items, d)
-    att_hidden: Tensor  # (d_h, d) shared attention transform
-    att_query: Tensor  # (num_interests, d_h) one query per interest
-    val_proj: Tensor  # (d, d) value projection for interest pooling
-    recon_hidden: Tensor  # (d_b, d_b) slot transform in the reconstruction attention
-    recon_expand: Tensor  # (max_seq_len*d_b, d) interest -> slot codes
-    recon_out: Tensor  # (d, d_b) slot code -> item-embedding space
-    recon_query: Tensor  # (max_seq_len, d_b) one query per reconstructed position
+    item_emb: Tensor
+    att_hidden: Tensor
+    att_query: Tensor
+    val_proj: Tensor
+    recon_hidden: Tensor
+    recon_expand: Tensor
+    recon_out: Tensor
+    recon_query: Tensor
 
     @classmethod
     def init(cls, num_items, hp, rng):
         """Uniform init scaled by 1/sqrt(fan_in) for every tensor."""
-
-        def uni(shape, fan_in):
-            lim = 1.0 / np.sqrt(fan_in)
-            return Tensor(rng.uniform(-lim, lim, size=shape))
-
-        d, d_h, d_b = hp.embed_dim, hp.att_hidden_dim, hp.recon_hidden_dim
-        return cls(
-            item_emb=uni((num_items, d), d),
-            att_hidden=uni((d_h, d), d),
-            att_query=uni((hp.num_interests, d_h), d_h),
-            val_proj=uni((d, d), d),
-            recon_hidden=uni((d_b, d_b), d_b),
-            recon_expand=uni((hp.max_seq_len * d_b, d), d),
-            recon_out=uni((d, d_b), d_b),
-            recon_query=uni((hp.max_seq_len, d_b), d_b),
-        )
+        shapes = tensor_shapes(num_items, hp.embed_dim, hp.att_hidden_dim,
+                               hp.recon_hidden_dim, hp.max_seq_len, hp.num_interests)
+        tensors = {}
+        for name, shape in shapes.items():
+            lim = 1.0 / np.sqrt(shape[-1])
+            tensors[name] = Tensor(rng.uniform(-lim, lim, size=shape))
+        return cls(**tensors)
 
     def named(self):
-        return [
-            ("item_emb", self.item_emb),
-            ("att_hidden", self.att_hidden),
-            ("att_query", self.att_query),
-            ("val_proj", self.val_proj),
-            ("recon_hidden", self.recon_hidden),
-            ("recon_expand", self.recon_expand),
-            ("recon_out", self.recon_out),
-            ("recon_query", self.recon_query),
-        ]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def tensors(self):
         return [t for _, t in self.named()]
@@ -173,7 +168,7 @@ def save_checkpoint(params, path):
 
     Layout: 8-byte magic "MIRECKPT"; then 7 little-endian uint32: format
     version, num_items, d, d_h, d_b, max_seq_len, num_interests; then every
-    tensor from ModelParams.named() in order, row-major little-endian float64.
+    tensor in tensor_shapes() order, row-major little-endian float64.
     Every tensor is checked before anything is written, and the file is
     replaced atomically, so a refused save leaves the previous checkpoint intact.
     """
@@ -198,19 +193,9 @@ def load_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {version} not supported, "
                          f"this build reads version {CHECKPOINT_VERSION}")
-    shapes = [
-        ("item_emb", (num_items, d)),
-        ("att_hidden", (d_h, d)),
-        ("att_query", (n_z, d_h)),
-        ("val_proj", (d, d)),
-        ("recon_hidden", (d_b, d_b)),
-        ("recon_expand", (n_x * d_b, d)),
-        ("recon_out", (d, d_b)),
-        ("recon_query", (n_x, d_b)),
-    ]
     offset = head_size
     tensors = {}
-    for name, shape in shapes:
+    for name, shape in tensor_shapes(num_items, d, d_h, d_b, n_x, n_z).items():
         count = int(np.prod(shape))
         nbytes = count * 8
         if offset + nbytes > len(data):

@@ -19,27 +19,25 @@ from .losses import compute_batch_losses
 from .model import pad_sequences, save_checkpoint
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.99
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
     m: list
     v: list
     step: int
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     weight_decay: float
 
     @classmethod
-    def init(cls, params, lr=0.003, beta1=0.9, beta2=0.99, eps=1e-8,
-             weight_decay=1e-5):
+    def init(cls, params, lr, weight_decay):
         tensors = params.tensors()
-        return cls(
-            m=[np.zeros_like(t.value) for t in tensors],
-            v=[np.zeros_like(t.value) for t in tensors],
-            step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-            weight_decay=weight_decay,
-        )
+        return cls(m=[np.zeros_like(t.value) for t in tensors],
+                   v=[np.zeros_like(t.value) for t in tensors],
+                   step=0, lr=lr, weight_decay=weight_decay)
 
 
 @dataclass
@@ -82,8 +80,8 @@ def adam_step(params, grads, state):
     if len(grads) != len(named):
         raise ValueError(f"got {len(grads)} gradients for {len(named)} parameters")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for (name, tensor), g, m, v in zip(named, grads, state.m, state.v):
         if g.shape != tensor.value.shape:
             raise ValueError(f"gradient shape {g.shape} does not match "
@@ -92,14 +90,14 @@ def adam_step(params, grads, state):
             raise ValueError(f"non-finite gradient for parameter {name}")
         if state.weight_decay != 0.0:
             tensor.value -= state.lr * state.weight_decay * tensor.value
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        tensor.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        tensor.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def clip_global_norm(grads, max_norm=5.0):
+def clip_global_norm(grads, max_norm):
     """Scale all gradients in place so the global L2 norm is <= max_norm."""
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if total > max_norm > 0.0:
@@ -185,8 +183,7 @@ def train(split_data, params, hp, config, log=None):
     if not examples:
         raise ValueError("training split has no sequences of length >= 2")
     rng = np.random.default_rng(config.seed)
-    state = OptimState.init(params, lr=config.lr,
-                            weight_decay=config.weight_decay)
+    state = OptimState.init(params, config.lr, config.weight_decay)
     validate = config.eval_every > 0 and bool(split_data.valid)
     history, log_lines = [], []
     best_recall = -1.0

@@ -1,12 +1,30 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from mirec import config as cm
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 
-def test_casters_cover_exactly_the_config_fields():
-    assert set(cm._CASTERS) == {f.name for f in fields(cm.RunConfig)}
+
+def test_every_config_field_type_has_a_parser():
+    # each key's rendered default parses back through the parser of its type
+    for f in fields(cm.RunConfig):
+        assert cm._parse(f.type, cm._format_value(f.default)) == f.default, f.name
+
+
+def test_readme_config_block_lists_the_rendered_defaults():
+    # the block under "Config keys and defaults" holds one `key = value` line
+    # per key, followed by a description after two or more spaces
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Config keys and defaults", 1)[1]
+    block = section.split("```", 2)[1]
+    listed = [re.split(r"\s{2,}", line.strip())[0]
+              for line in block.strip("\n").splitlines()]
+    rendered = [line.rstrip() for line in cm.render(cm.default_config()).splitlines()]
+    assert listed == rendered
 
 
 def test_defaults_match_paper_scale_settings():

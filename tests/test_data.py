@@ -237,3 +237,39 @@ def test_labels_round_trip(tmp_path):
     assert len(mapping) == len(labels)
     for tok, cluster in mapping.items():
         assert labels[log.item_tokens.index(tok)] == cluster
+
+
+def test_write_atomic_streams_str_chunks(tmp_path):
+    path = tmp_path / "out.tsv"
+    d.write_atomic(str(path), (f"row\t{i}\n" for i in range(3)))
+    assert path.read_text() == "row\t0\nrow\t1\nrow\t2\n"
+    d.write_atomic(str(path), b"bytes\n")
+    assert path.read_bytes() == b"bytes\n"
+
+
+def test_failed_replace_leaves_previous_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "split.txt"
+    d.write_atomic(str(path), "old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(d.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        d.write_atomic(str(path), ("new\n" for _ in range(2)))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["split.txt"]
+
+
+def test_failed_chunk_leaves_previous_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "embeddings.tsv"
+    d.write_atomic(str(path), "old\n")
+
+    def chunks():
+        yield "partial\n"
+        raise ValueError("bad row")
+
+    with pytest.raises(ValueError, match="bad row"):
+        d.write_atomic(str(path), chunks())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["embeddings.tsv"]

@@ -63,7 +63,7 @@ def test_empty_cluster_reseeded_and_counted():
     v = np.array([3.0, 0.0]) + 0.1 * rng.normal(size=(10, 2))
     # second seed centroid is anti-aligned with every point, so it starts empty
     init = np.array([[3.0, 0.0], [-3.0, 0.0]])
-    a = dg.kmeans(v, 2, init_mode="user_interests", init_centroids=init, seed=0)
+    a = dg.kmeans(v, 2, init_centroids=init, seed=0)
     assert a.reseeded >= 1
     assert set(np.bincount(a.labels, minlength=2).tolist()) != {0}
 
@@ -72,7 +72,7 @@ def test_user_interests_init_respects_seeds():
     rng = np.random.default_rng(4)
     centers = np.array([[6.0, 0.0], [0.0, 6.0]])
     v, want = blobs(rng, centers, per=10)
-    a = dg.kmeans(v, 2, init_mode="user_interests", init_centroids=centers)
+    a = dg.kmeans(v, 2, init_centroids=centers)
     assert rand_index(a.labels, want) == 1.0
 
 
@@ -82,13 +82,8 @@ def test_kmeans_argument_errors():
         dg.kmeans(v, 1)
     with pytest.raises(ValueError, match="exceeds"):
         dg.kmeans(v, 5)
-    with pytest.raises(ValueError, match="init_centroids"):
-        dg.kmeans(v, 2, init_mode="user_interests")
     with pytest.raises(ValueError, match="does not match"):
-        dg.kmeans(v, 2, init_mode="user_interests",
-                  init_centroids=np.ones((3, 2)))
-    with pytest.raises(ValueError, match="init_mode"):
-        dg.kmeans(v, 2, init_mode="random")
+        dg.kmeans(v, 2, init_centroids=np.ones((3, 2)))
 
 
 def test_kmeans_deterministic_given_seed():

@@ -174,6 +174,16 @@ def test_init_shapes_and_bounds():
         assert np.all(np.isfinite(t.value))
 
 
+def test_tensor_shapes_fix_field_order_shapes_and_fan_in():
+    hp = tiny_hp()
+    params, _ = make_params(num_items=12, hp=hp, seed=0)
+    shapes = m.tensor_shapes(*params.dims())
+    assert list(shapes) == [name for name, _ in params.named()]
+    for name, t in params.named():
+        assert t.value.shape == shapes[name], name
+        assert np.all(np.abs(t.value) <= 1.0 / np.sqrt(shapes[name][-1])), name
+
+
 def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     params, hp = make_params(num_items=14, seed=6)
     path = tmp_path / "model.ckpt"

@@ -23,18 +23,18 @@ class FakeParams:
 
 
 def test_optim_defaults():
+    cfg = tr.TrainConfig()
+    assert (cfg.lr, cfg.weight_decay, cfg.clip_norm) == (0.003, 1e-5, 5.0)
+    assert (tr.ADAM_BETA1, tr.ADAM_BETA2, tr.ADAM_EPS) == (0.9, 0.99, 1e-8)
     p = FakeParams([("w", np.ones(3))])
-    st = tr.OptimState.init(p)
-    assert st.lr == 0.003
-    assert st.beta1 == 0.9 and st.beta2 == 0.99
-    assert st.eps == 1e-8 and st.weight_decay == 1e-5
-    assert st.step == 0
+    st = tr.OptimState.init(p, cfg.lr, cfg.weight_decay)
+    assert (st.lr, st.weight_decay, st.step) == (0.003, 1e-5, 0)
     assert all(np.all(m == 0) for m in st.m)
 
 
 def test_zero_grad_no_decay_leaves_params_unchanged():
     p = FakeParams([("w", [1.0, -2.0, 3.0])])
-    st = tr.OptimState.init(p, weight_decay=0.0)
+    st = tr.OptimState.init(p, lr=0.003, weight_decay=0.0)
     tr.adam_step(p, [np.zeros(3)], st)
     assert np.array_equal(p.tensors()[0].value, [1.0, -2.0, 3.0])
     assert st.step == 1
@@ -49,14 +49,14 @@ def test_zero_grad_with_decay_shrinks_exactly():
 
 def test_nonfinite_gradient_is_hard_error():
     p = FakeParams([("item_emb", np.ones(2))])
-    st = tr.OptimState.init(p)
+    st = tr.OptimState.init(p, lr=0.003, weight_decay=1e-5)
     with pytest.raises(ValueError, match="non-finite gradient.*item_emb"):
         tr.adam_step(p, [np.array([1.0, np.nan])], st)
 
 
 def test_gradient_shape_mismatch_rejected():
     p = FakeParams([("w", np.ones(2))])
-    st = tr.OptimState.init(p)
+    st = tr.OptimState.init(p, lr=0.003, weight_decay=1e-5)
     with pytest.raises(ValueError, match="shape"):
         tr.adam_step(p, [np.ones(3)], st)
 
@@ -169,7 +169,7 @@ def test_train_epoch_deterministic():
     outs = []
     for _ in range(2):
         params = ModelParams.init(num_items, hp, np.random.default_rng(3))
-        st = tr.OptimState.init(params, lr=cfg.lr)
+        st = tr.OptimState.init(params, cfg.lr, cfg.weight_decay)
         stats = tr.train_epoch(exs, params, hp, st, cfg, np.random.default_rng(5))
         outs.append((stats, [t.value.copy() for t in params.tensors()]))
     assert outs[0][0] == outs[1][0]
