@@ -52,6 +52,32 @@ def _parse(tp, s):
     return _PARSERS[tp](s)
 
 
+def _cutoffs(s):
+    """Sorted distinct cutoffs of a comma list of positive ints such as '20,50'."""
+    toks = [tok.strip() for tok in str(s).split(",") if tok.strip()]
+    for tok in toks:
+        if not tok.isdigit() or int(tok) < 1:
+            raise ValueError(f"expected a comma list of positive ints, got {tok!r}")
+    if not toks:
+        raise ValueError("cutoffs is empty")
+    return tuple(sorted({int(tok) for tok in toks}))
+
+
+def _check_holdout_frac(v):
+    if not 0.0 < v < 1.0:
+        raise ValueError(f"must be in (0, 1), got {v!r}")
+
+
+def _check_diag_k(v):
+    if v is not None and v < 2:
+        raise ValueError(f"must be none or >= 2, got {v}")
+
+
+# range checks of parsed values, by key; a failed check names its key in resolve
+_CHECKS = {"holdout_frac": _check_holdout_frac, "cutoffs": _cutoffs,
+           "diag_k": _check_diag_k}
+
+
 class _RunConfigMethods:
     """What a RunConfig builds from its keys; the keys are declared below."""
 
@@ -75,18 +101,7 @@ class _RunConfigMethods:
         )
 
     def cutoff_list(self):
-        vals = []
-        for tok in str(self.cutoffs).split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            n = int(tok)
-            if n < 1:
-                raise ValueError(f"cutoff must be >= 1, got {n}")
-            vals.append(n)
-        if not vals:
-            raise ValueError("cutoffs is empty")
-        return tuple(sorted(set(vals)))
+        return _cutoffs(self.cutoffs)
 
 
 def _keys_of(cls, skip=()):
@@ -150,11 +165,13 @@ def apply_overrides(raw, overrides):
 
 
 def resolve(raw):
-    """Typed RunConfig from raw strings; casting errors name the key."""
+    """Typed RunConfig from raw strings; casting and range errors name the key."""
     kwargs = {}
     for key, value in raw.items():
         try:
             kwargs[key] = _parse(_KEY_TYPES[key], value)
+            if key in _CHECKS:
+                _CHECKS[key](kwargs[key])
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from exc
     return RunConfig(**kwargs)

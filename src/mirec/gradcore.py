@@ -225,20 +225,6 @@ def tanh(a):
     return _record(out, (a,), lambda g: (g * (1.0 - ov * ov),))
 
 
-def exp(a):
-    a = _wrap(a)
-    out = Tensor(np.exp(a.value))
-    ov = out.value
-    return _record(out, (a,), lambda g: (g * ov,))
-
-
-def log(a):
-    a = _wrap(a)
-    out = Tensor(np.log(a.value))
-    av = a.value
-    return _record(out, (a,), lambda g: (g / av,))
-
-
 def sqrt(a):
     a = _wrap(a)
     out = Tensor(np.sqrt(a.value))

@@ -169,8 +169,11 @@ def reconstruct_batch(interests, x_emb, pos_mask, params):
     """Sum over the batch of squared reconstruction error on positive items.
 
     Each interest is expanded into max_seq_len slot codes; a per-position
-    query attends over the slots and the attended slot codes are projected
-    back to embedding space and compared to the positive items.
+    query attends over the slots, and the attention pools the slot codes
+    into one d_b-wide context per (example, interest, position). Only the
+    contexts of positive triples are projected back to embedding space by
+    recon_out and compared to their items, so no (B, n_z, n_x, d) tensor is
+    formed and an empty positive set contributes exactly 0.
     """
     b, n_z, d = interests.value.shape
     n_x = pos_mask.shape[2]
@@ -180,11 +183,13 @@ def reconstruct_batch(interests, x_emb, pos_mask, params):
     hidden = gc.tanh(gc.matmul(codes, gc.swapaxes(params.recon_hidden, 0, 1)))
     slot_logits = gc.matmul(hidden, gc.swapaxes(params.recon_query, 0, 1))  # (B,n_z,slot,pos)
     beta = gc.softmax(slot_logits, axis=2)  # softmax over slots for each position
-    vals = gc.matmul(codes, gc.swapaxes(params.recon_out, 0, 1))  # (B, n_z, slot, d)
-    rebuilt = gc.matmul(gc.swapaxes(beta, 2, 3), vals)  # (B, n_z, pos, d)
-    diff = rebuilt - gc.reshape(x_emb, (b, 1, n_x, d))
-    sq_err = gc.tsum(diff * diff, axis=-1)  # (B, n_z, pos)
-    return gc.tsum(sq_err * pos_mask.astype(np.float64))
+    ctx = gc.matmul(gc.swapaxes(beta, 2, 3), codes)  # (B, n_z, pos, d_b)
+    ex, k, pos = np.nonzero(pos_mask)
+    ctx_pos = gc.gather_rows(gc.reshape(ctx, (b * n_z * n_x, d_b)),
+                             (ex * n_z + k) * n_x + pos)  # (P, d_b)
+    x_pos = gc.gather_rows(gc.reshape(x_emb, (b * n_x, d)), ex * n_x + pos)  # (P, d)
+    diff = gc.matmul(ctx_pos, gc.swapaxes(params.recon_out, 0, 1)) - x_pos
+    return gc.tsum(diff * diff)
 
 
 def select_interest_batch(interest_values, target_values):

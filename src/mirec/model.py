@@ -50,6 +50,9 @@ class HyperParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.num_rec_negatives < 1:
             raise ValueError(f"num_rec_negatives must be >= 1, got {self.num_rec_negatives}")
+        if self.num_seq_negatives is not None and self.num_seq_negatives < 0:
+            raise ValueError(
+                f"num_seq_negatives must be none or >= 0, got {self.num_seq_negatives}")
 
 
 def tensor_shapes(num_items, d, d_h, d_b, n_x, n_z):

@@ -114,6 +114,30 @@ def test_cutoff_list_parsing_and_validation():
         cm.default_config(["cutoffs=,"]).cutoff_list()
 
 
+def test_holdout_frac_outside_open_unit_interval_rejected_by_key():
+    assert cm.default_config(["holdout_frac=0.5"]).holdout_frac == 0.5
+    for bad in ("0", "1", "1.5", "-0.2"):
+        with pytest.raises(ValueError, match=r"config key 'holdout_frac': must be in \(0, 1\)"):
+            cm.default_config([f"holdout_frac={bad}"])
+
+
+def test_diag_k_below_two_rejected_by_key():
+    assert cm.default_config(["diag_k=2"]).diag_k == 2
+    assert cm.default_config(["diag_k=none"]).diag_k is None
+    for bad in ("1", "0", "-3"):
+        with pytest.raises(ValueError, match="config key 'diag_k': must be none or >= 2"):
+            cm.default_config([f"diag_k={bad}"])
+
+
+def test_cutoffs_not_a_positive_int_list_rejected_by_key():
+    cfg = cm.default_config(["cutoffs=50, 20"])
+    assert cfg.cutoffs == "50, 20"  # stored as written, so render is unchanged
+    for bad, why in (("abc", "comma list of positive ints"), ("20,x", "'x'"),
+                     ("2.5", "'2.5'"), ("-3", "'-3'"), ("0", "'0'"), ("", "empty")):
+        with pytest.raises(ValueError, match=f"config key 'cutoffs': .*{why}"):
+            cm.resolve({"cutoffs": bad})
+
+
 def test_optional_int_and_threshold_casting():
     cfg = cm.default_config(["num_seq_negatives=none", "pos_threshold=adaptive"])
     assert cfg.num_seq_negatives is None

@@ -222,7 +222,7 @@ def test_check_gradient_softmax_cross_entropy():
 
     def f(params):
         (p,) = params
-        return -gc.tsum(Tensor(target) * gc.log(gc.softmax(p)))
+        return -gc.tsum(Tensor(target) * (p - gc.logsumexp(p)))
 
     assert gc.check_gradient(f, [logits]) <= 1e-6
 
@@ -232,7 +232,7 @@ def test_check_gradient_raises_on_non_finite_probe():
 
     def f(params):
         (p,) = params
-        return gc.tsum(gc.log(p))
+        return gc.tsum(gc.sqrt(p))  # 1e-5 - h < 0 probes sqrt out of its domain
 
     with pytest.raises(gc.GradientCheckError, match="coordinate 0"):
         gc.check_gradient(f, [v], h=1e-4)
@@ -297,18 +297,6 @@ def _inst_tanh(rng):
     a = Tensor(rng.normal(size=(3, 4)))
     w = rng.normal(size=(3, 4))
     return lambda ps: gc.tsum(gc.tanh(ps[0]) * w), [a]
-
-
-def _inst_exp(rng):
-    a = Tensor(rng.normal(size=(3, 4)))
-    w = rng.normal(size=(3, 4))
-    return lambda ps: gc.tsum(gc.exp(ps[0]) * w), [a]
-
-
-def _inst_log(rng):
-    a = Tensor(0.1 + np.abs(rng.normal(size=(3, 4))))
-    w = rng.normal(size=(3, 4))
-    return lambda ps: gc.tsum(gc.log(ps[0]) * w), [a]
 
 
 def _inst_sqrt(rng):
@@ -415,8 +403,6 @@ PRIMITIVES = [
     ("matmul", _inst_matmul),
     ("matmul_4d_weight", _inst_matmul_4d_weight),
     ("tanh", _inst_tanh),
-    ("exp", _inst_exp),
-    ("log", _inst_log),
     ("sqrt", _inst_sqrt),
     ("tsum", _inst_tsum),
     ("reshape", _inst_reshape),

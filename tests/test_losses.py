@@ -358,6 +358,81 @@ def test_reconstruct_matches_naive_loop_oracle():
         np.testing.assert_allclose(loss.value, expected, rtol=0, atol=1e-10)
 
 
+def dense_reconstruct(interests, x_emb, pos_mask, params):
+    """Reference decoder: every (example, interest, position) is projected
+    to a d-wide vector first, and the positive mask is applied last."""
+    b, n_z, d = interests.value.shape
+    n_x = pos_mask.shape[2]
+    d_b = params.recon_hidden.value.shape[0]
+    flat = gc.matmul(interests, gc.swapaxes(params.recon_expand, 0, 1))
+    codes = gc.reshape(flat, (b, n_z, n_x, d_b))
+    hidden = gc.tanh(gc.matmul(codes, gc.swapaxes(params.recon_hidden, 0, 1)))
+    beta = gc.softmax(gc.matmul(hidden, gc.swapaxes(params.recon_query, 0, 1)), axis=2)
+    vals = gc.matmul(codes, gc.swapaxes(params.recon_out, 0, 1))  # (B, n_z, slot, d)
+    rebuilt = gc.matmul(gc.swapaxes(beta, 2, 3), vals)  # (B, n_z, pos, d)
+    diff = rebuilt - gc.reshape(x_emb, (b, 1, n_x, d))
+    sq_err = gc.tsum(diff * diff, axis=-1)
+    return gc.tsum(sq_err * pos_mask.astype(np.float64))
+
+
+RECON_TENSORS = ("recon_expand", "recon_hidden", "recon_query", "recon_out")
+
+
+def recon_batch_instance(seed, b=4):
+    """Random (B, n_z, d) interests and (B, n_x, d) items with n_x != d != d_b,
+    so a (B, n_z, n_x, d) tensor cannot be mistaken for another shape."""
+    hp = tiny_hp(embed_dim=6, recon_hidden_dim=3, num_interests=3, max_seq_len=4)
+    rng = np.random.default_rng(seed)
+    params = m.ModelParams.init(10, hp, rng)
+    interests = Tensor(rng.normal(size=(b, hp.num_interests, hp.embed_dim)))
+    x = Tensor(rng.normal(size=(b, hp.max_seq_len, hp.embed_dim)))
+    pos = rng.random((b, hp.num_interests, hp.max_seq_len)) < 0.4
+    return params, interests, x, pos
+
+
+def recon_loss_and_grads(fn, params, interests, x, pos):
+    leaves = [interests, x] + [getattr(params, n) for n in RECON_TENSORS]
+    with gc.Tape() as tape:
+        loss = fn(interests, x, pos, params)
+    tape.backward(loss)
+    grads = [np.zeros_like(t.value) if t.grad is None else t.grad.copy() for t in leaves]
+    return float(loss.value), grads
+
+
+def test_reconstruct_matches_dense_decoder_with_empty_positive_sets():
+    for seed in range(5):
+        params, interests, x, pos = recon_batch_instance(seed)
+        pos[0, 1] = False
+        pos[2, :] = False  # an example with no positives at all
+        pos[3, 0] = True
+        got, got_grads = recon_loss_and_grads(ls.reconstruct_batch, params, interests, x, pos)
+        want, want_grads = recon_loss_and_grads(dense_reconstruct, params, interests, x, pos)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        names = ["interests", "x_emb"] + list(RECON_TENSORS)
+        for name, g, w in zip(names, got_grads, want_grads):
+            assert g.shape == w.shape, name
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+
+
+def test_reconstruct_all_empty_positives_gives_zero_loss_and_gradients():
+    params, interests, x, pos = recon_batch_instance(7)
+    pos[:] = False
+    loss, grads = recon_loss_and_grads(ls.reconstruct_batch, params, interests, x, pos)
+    assert loss == 0.0
+    for g in grads:
+        assert not g.any()
+
+
+def test_reconstruct_tapes_no_full_width_decode():
+    params, interests, x, pos = recon_batch_instance(3)
+    b, n_z, d = interests.value.shape
+    n_x = pos.shape[2]
+    with gc.Tape() as tape:
+        ls.reconstruct_batch(interests, x, pos, params)
+    shapes = {out.value.shape for out, _, _ in tape.entries}
+    assert (b, n_z, n_x, d) not in shapes
+
+
 # ------------------------------------------------------------------- rec
 
 
@@ -540,6 +615,22 @@ def test_compute_batch_losses_runs_and_reports_means():
         bundle.rec + 0.1 * bundle.contrast + 1.0 * bundle.attend + 0.1 * bundle.reconstruct,
         atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("num_seq_negatives", [0, None])
+def test_compute_batch_losses_without_or_with_default_seq_negatives(num_seq_negatives):
+    # 0 draws no out-of-sequence negatives; none draws one per sequence position
+    hp = tiny_hp(lambda_cl=0.1, num_rec_negatives=6, num_seq_negatives=num_seq_negatives)
+    rng = np.random.default_rng(2)
+    params = m.ModelParams.init(30, hp, rng)
+    ids = rng.integers(0, 30, size=(3, hp.max_seq_len))
+    mask = np.ones((3, hp.max_seq_len), bool)
+    targets = rng.integers(0, 30, size=3)
+    with gc.Tape() as tape:
+        total, bundle = ls.compute_batch_losses(ids, mask, targets, params, hp, rng)
+    tape.backward(total)
+    assert np.isfinite(bundle.contrast) and bundle.contrast >= 0.0
+    assert np.isfinite(params.att_query.grad).all()
 
 
 def test_compute_batch_losses_skips_inactive_components():

@@ -28,6 +28,13 @@ def test_hyperparams_validation():
     tiny_hp(pos_threshold=0.25)
 
 
+def test_num_seq_negatives_rejects_negative_by_name():
+    with pytest.raises(ValueError, match="num_seq_negatives must be none or >= 0, got -1"):
+        tiny_hp(num_seq_negatives=-1)
+    assert tiny_hp(num_seq_negatives=0).num_seq_negatives == 0
+    assert tiny_hp(num_seq_negatives=None).num_seq_negatives is None
+
+
 def test_sequence_truncates_to_last_items():
     ids, mask = m.pad_sequences([[1, 2, 3, 4, 5]], max_seq_len=3)
     np.testing.assert_array_equal(ids[0], [3, 4, 5])
