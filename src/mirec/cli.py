@@ -115,11 +115,8 @@ def cmd_diagnose(args):
     cfg, run, ckpt, sp, params, hp = _load_trained_run(args)
     report = diagnose(params, sp.test, hp, k_global=cfg.diag_k,
                       init_mode=cfg.diag_init, seed=cfg.seed)
-    item_ids = set()
-    for profile, holdout in sp.test.values():
-        item_ids.update(profile)
-        item_ids.update(holdout)
-    export_embeddings(params, report.user_interests, sorted(item_ids),
+    export_embeddings(params, report.user_interests,
+                      [i for profile, holdout in sp.test.values() for i in profile + holdout],
                       os.path.join(run, "embeddings.tsv"))
     record = (diag_record(report) +
               f" checkpoint={_file_hash(ckpt)}"

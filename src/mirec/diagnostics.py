@@ -207,9 +207,8 @@ def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
         for item in item_ids:
             if item not in item_rows:
                 item_rows[item] = len(item_rows)
-    item_blocks = [emb[i] for i in sorted(item_rows, key=item_rows.get)]
     n_interest_rows = n_z * len(users)
-    matrix = np.vstack([np.vstack(interest_blocks), np.vstack(item_blocks)])
+    matrix = np.vstack(interest_blocks + [emb[list(item_rows)]])
 
     interest_items = {}
     for u, (_, pos_items, _) in enumerate(per_user):

@@ -2,9 +2,13 @@
 
 An item's relevance to a user is the max dot product over the user's interest
 vectors. Retrieval scores the full catalog exactly, one user at a time, with
-ties broken by lower item id. Metrics follow the recalled-positives
-convention for NDCG: the ideal ranking places the h items actually recalled
-at the top, so NDCG is 1 whenever the hits are consecutive from rank 1.
+ties broken by lower item id. Scoring builds one (users × max cutoff) boolean
+hit matrix per split, where row u, column r says whether user u's item at
+rank r + 1 is relevant; users with an empty relevant set are dropped there
+and counted. Recall, NDCG and hit rate at cutoff n read its first n columns.
+NDCG follows the recalled-positives convention: the ideal ranking places the
+h items actually recalled at the top, so NDCG is 1 whenever the hits are
+consecutive from rank 1.
 """
 
 from dataclasses import dataclass
@@ -37,11 +41,6 @@ def max_interest_scores(interests, item_emb):
     return (item_emb @ interests.T).max(axis=1)
 
 
-def _rank_all(scores):
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order
-
-
 def retrieve_topn(interests, item_emb, n, exclude=()):
     """Top-n items by max-over-interests dot product.
 
@@ -55,66 +54,51 @@ def retrieve_topn(interests, item_emb, n, exclude=()):
     if exclude.size:
         scores = scores.copy()
         scores[exclude] = -np.inf
-    order = _rank_all(scores)
+    order = np.lexsort((np.arange(scores.shape[0]), -scores))
     available = scores.shape[0] - exclude.size
     take = min(n, available)
     top = order[:take]
     return Ranking(item_ids=top, scores=scores[top], truncated=take < n)
 
 
-def _hit_ranks(topn_ids, relevant):
-    return [r for r, item in enumerate(topn_ids, start=1) if item in relevant]
+def hit_matrix(rankings, relevants, n):
+    """(users, n) bool matrix: hits[u, r] is true when rank r + 1 of user u is relevant.
 
-
-def recall_at(topn_ids, relevant):
-    if not relevant:
-        raise ValueError("recall needs a non-empty relevant set")
-    hits = sum(1 for item in topn_ids if item in relevant)
-    return hits / len(relevant)
-
-
-def ndcg_at(topn_ids, relevant):
-    if not relevant:
-        raise ValueError("ndcg needs a non-empty relevant set")
-    ranks = _hit_ranks(topn_ids, relevant)
-    if not ranks:
-        return 0.0
-    dcg = sum(1.0 / np.log2(r + 1) for r in ranks)
-    idcg = sum(1.0 / np.log2(i + 1) for i in range(1, len(ranks) + 1))
-    return dcg / idcg
-
-
-def hit_at(topn_ids, relevant):
-    if not relevant:
-        raise ValueError("hit rate needs a non-empty relevant set")
-    return 1.0 if any(item in relevant for item in topn_ids) else 0.0
-
-
-def _averaged(per_user, rankings, relevants):
-    vals, skipped = [], 0
-    for ids, rel in zip(rankings, relevants):
-        if not rel:
-            skipped += 1
-            continue
-        vals.append(per_user(ids, rel))
-    if not vals:
+    rankings are item-id arrays, shorter ones padded with misses; relevants are
+    sets. Users with an empty relevant set are dropped. Returns (hits, sizes of
+    the kept relevant sets, number of users dropped).
+    """
+    kept = [(ids, rel) for ids, rel in zip(rankings, relevants) if rel]
+    if not kept:
         raise ValueError("no users with a non-empty relevant set")
-    return float(np.mean(vals)), skipped
+    hits = np.zeros((len(kept), n), dtype=bool)
+    for row, (ids, rel) in enumerate(kept):
+        top = ids[:n].tolist()
+        hits[row, : len(top)] = [item in rel for item in top]
+    sizes = np.array([len(rel) for _, rel in kept])
+    return hits, sizes, len(rankings) - len(kept)
 
 
-def metric_recall(rankings, relevants):
-    """Mean over users of |top ∩ relevant| / |relevant|; (value, skipped)."""
-    return _averaged(recall_at, rankings, relevants)
+def metric_recall(hits, sizes):
+    """Mean over users of |top ∩ relevant| / |relevant|."""
+    return float(np.mean(hits.sum(axis=1) / sizes))
 
 
-def metric_ndcg(rankings, relevants):
-    """Mean over users of recalled-positives NDCG; (value, skipped)."""
-    return _averaged(ndcg_at, rankings, relevants)
+def metric_ndcg(hits):
+    """Mean over users of recalled-positives NDCG; 0 for a user without hits.
+
+    Both DCG and IDCG are sequential (cumulative) sums of the rank discounts.
+    """
+    disc = 1.0 / np.log2(np.arange(2, hits.shape[1] + 2))
+    dcg = np.cumsum(np.where(hits, disc, 0.0), axis=1)[:, -1]
+    n_hits = hits.sum(axis=1)
+    idcg = np.cumsum(disc)[np.maximum(n_hits - 1, 0)]
+    return float(np.mean(np.where(n_hits > 0, dcg / idcg, 0.0)))
 
 
-def metric_hitrate(rankings, relevants):
-    """Fraction of users with at least one hit; (value, skipped)."""
-    return _averaged(hit_at, rankings, relevants)
+def metric_hitrate(hits):
+    """Fraction of users with at least one hit."""
+    return float(np.mean(hits.any(axis=1)))
 
 
 def user_interests_for_profile(profile_items, params, max_seq_len):
@@ -144,16 +128,13 @@ def evaluate_split(params, part, hp, cutoffs=(20, 50)):
         ranking = retrieve_topn(z, params.item_emb.value, n_max, exclude=set(profile))
         rankings.append(ranking.item_ids)
         relevants.append(set(holdout) - set(profile))
-    recall, ndcg, hitrate = {}, {}, {}
-    skipped = 0
-    for n in cutoffs:
-        clipped = [ids[:n] for ids in rankings]
-        recall[n], skipped = metric_recall(clipped, relevants)
-        ndcg[n], _ = metric_ndcg(clipped, relevants)
-        hitrate[n], _ = metric_hitrate(clipped, relevants)
+    hits, sizes, skipped = hit_matrix(rankings, relevants, n_max)
     return EvalReport(
-        cutoffs=cutoffs, recall=recall, ndcg=ndcg, hitrate=hitrate,
-        users_evaluated=len(rankings) - skipped, users_skipped=skipped,
+        cutoffs=cutoffs,
+        recall={n: metric_recall(hits[:, :n], sizes) for n in cutoffs},
+        ndcg={n: metric_ndcg(hits[:, :n]) for n in cutoffs},
+        hitrate={n: metric_hitrate(hits[:, :n]) for n in cutoffs},
+        users_evaluated=len(hits), users_skipped=skipped,
     )
 
 

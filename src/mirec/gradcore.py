@@ -312,15 +312,7 @@ def softmax(a, axis=-1):
     a = _wrap(a)
     if a.value.shape[axis] == 0:
         raise ValueError(f"softmax over an empty axis: shape {a.value.shape}, axis {axis}")
-    mx = a.value.max(axis=axis, keepdims=True)
-    e = np.exp(a.value - mx)
-    ov = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(ov)
-
-    def vjp(g):
-        return (ov * (g - (g * ov).sum(axis=axis, keepdims=True)),)
-
-    return _record(out, (a,), vjp)
+    return masked_softmax(a, True, axis=axis)
 
 
 def masked_softmax(a, mask, axis=-1):
@@ -342,8 +334,7 @@ def masked_softmax(a, mask, axis=-1):
 
 
 def logsumexp(a, axis=None, keepdims=False):
-    a = _wrap(a)
-    return masked_logsumexp(a, np.ones(a.value.shape, dtype=bool), axis=axis, keepdims=keepdims)
+    return masked_logsumexp(a, True, axis=axis, keepdims=keepdims)
 
 
 def masked_logsumexp(a, mask, axis=-1, keepdims=False):

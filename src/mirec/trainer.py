@@ -151,12 +151,8 @@ def train_epoch(examples, params, hp, state, config, rng):
         ]
         clip_global_norm(grads, config.clip_norm)
         adam_step(params, grads, state)
-        w = len(idx)
-        sums["total"] += bundle.total * w
-        sums["rec"] += bundle.rec * w
-        sums["contrast"] += bundle.contrast * w
-        sums["attend"] += bundle.attend * w
-        sums["reconstruct"] += bundle.reconstruct * w
+        for k in sums:
+            sums[k] += getattr(bundle, k) * len(idx)
     n = len(order)
     return {k: s / n for k, s in sums.items()}
 

@@ -141,9 +141,10 @@ def test_retrieval_metrics_and_losses_match_bruteforce():
             want_ndcg = dcg / idcg
         else:
             want_ndcg = 0.0
-        assert ev.recall_at(ranked, relevant) == want_recall
-        assert ev.hit_at(ranked, relevant) == want_hit
-        assert abs(ev.ndcg_at(ranked, relevant) - want_ndcg) <= 1e-10
+        hits, sizes, _ = ev.hit_matrix([ranked], [relevant], len(ranked))
+        assert ev.metric_recall(hits, sizes) == want_recall
+        assert ev.metric_hitrate(hits) == want_hit
+        assert abs(ev.metric_ndcg(hits) - want_ndcg) <= 1e-10
 
     for seed in range(50):
         r = np.random.default_rng(seed)

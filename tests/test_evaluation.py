@@ -77,34 +77,40 @@ def test_retrieve_rejects_bad_n():
         ev.retrieve_topn(np.ones((1, 2)), np.ones((3, 2)), 0)
 
 
+def one_user(ranked, relevant):
+    """(recall, ndcg, hit) of one ranking over its full length."""
+    hits, sizes, _ = ev.hit_matrix([np.asarray(ranked)], [relevant], len(ranked))
+    return ev.metric_recall(hits, sizes), ev.metric_ndcg(hits), ev.metric_hitrate(hits)
+
+
 def test_recall_half():
-    assert ev.recall_at([0, 2], {0, 1}) == 0.5
+    assert one_user([0, 2], {0, 1})[0] == 0.5
 
 
 def test_recall_full_and_zero():
-    assert ev.recall_at([5, 6, 7], {5, 6, 7}) == 1.0
-    assert ev.recall_at([1, 2], {8}) == 0.0
+    assert one_user([5, 6, 7], {5, 6, 7})[0] == 1.0
+    assert one_user([1, 2], {8})[0] == 0.0
 
 
 def test_hit_rate_indicator():
-    assert ev.hit_at([3, 4], {4}) == 1.0
-    assert ev.hit_at([3, 4], {9}) == 0.0
+    assert one_user([3, 4], {4})[2] == 1.0
+    assert one_user([3, 4], {9})[2] == 0.0
 
 
 def test_ndcg_hand_example():
     # hits at ranks 1 and 3: dcg = 1 + 1/log2(4) = 1.5, idcg = 1 + 1/log2(3)
-    got = ev.ndcg_at([10, 11, 12, 13], {10, 12})
+    got = one_user([10, 11, 12, 13], {10, 12})[1]
     want = 1.5 / (1.0 + 1.0 / np.log2(3.0))
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(0.9197207, abs=1e-6)
 
 
 def test_ndcg_consecutive_hits_from_top_is_one():
-    assert ev.ndcg_at([4, 5, 6, 7], {4, 5}) == pytest.approx(1.0)
+    assert one_user([4, 5, 6, 7], {4, 5})[1] == pytest.approx(1.0)
 
 
 def test_ndcg_no_hits_is_zero():
-    assert ev.ndcg_at([1, 2, 3], {9}) == 0.0
+    assert one_user([1, 2, 3], {9})[1] == 0.0
 
 
 def test_ndcg_matches_naive_loop():
@@ -117,22 +123,21 @@ def test_ndcg_matches_naive_loop():
         ranks = [r + 1 for r, i in enumerate(ids) if i in rel]
         dcg = sum(1 / np.log2(r + 1) for r in ranks)
         idcg = sum(1 / np.log2(i + 2) for i in range(len(ranks)))
-        assert ev.ndcg_at(ids, rel) == pytest.approx(dcg / idcg, abs=1e-12)
+        assert one_user(ids, rel)[1] == pytest.approx(dcg / idcg, abs=1e-12)
 
 
 def test_metrics_average_over_users_and_skip_empty():
     rankings = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
     relevants = [{0, 9}, set(), {4, 5}]
-    r, skipped = ev.metric_recall(rankings, relevants)
+    hits, sizes, skipped = ev.hit_matrix(rankings, relevants, 2)
     assert skipped == 1
-    assert r == pytest.approx((0.5 + 1.0) / 2)
-    h, _ = ev.metric_hitrate(rankings, relevants)
-    assert h == 1.0
+    assert ev.metric_recall(hits, sizes) == pytest.approx((0.5 + 1.0) / 2)
+    assert ev.metric_hitrate(hits) == 1.0
 
 
 def test_metrics_error_when_all_users_empty():
     with pytest.raises(ValueError, match="non-empty relevant"):
-        ev.metric_recall([np.array([0])], [set()])
+        ev.hit_matrix([np.array([0])], [set()], 1)
 
 
 def test_metric_values_bounded():
@@ -141,9 +146,44 @@ def test_metric_values_bounded():
     for _ in range(40):
         rankings.append(rng.permutation(50)[:10])
         relevants.append(set(rng.choice(50, size=5, replace=False).tolist()))
-    for fn in (ev.metric_recall, ev.metric_ndcg, ev.metric_hitrate):
-        v, _ = fn(rankings, relevants)
+    hits, sizes, _ = ev.hit_matrix(rankings, relevants, 10)
+    for v in (ev.metric_recall(hits, sizes), ev.metric_ndcg(hits), ev.metric_hitrate(hits)):
         assert 0.0 <= v <= 1.0
+
+
+def test_hit_matrix_metrics_equal_per_user_loop():
+    """Bit-for-bit equal to averaging the per-user formulas over users, at every
+    cutoff, with rankings shorter than the cutoff and users without hits."""
+
+    def per_user(ranked, relevant):
+        ranks = [r for r, item in enumerate(ranked, start=1) if item in relevant]
+        recall = sum(1 for item in ranked if item in relevant) / len(relevant)
+        hit = 1.0 if any(item in relevant for item in ranked) else 0.0
+        if not ranks:
+            return recall, 0.0, hit
+        dcg = sum(1.0 / np.log2(r + 1) for r in ranks)
+        idcg = sum(1.0 / np.log2(i + 1) for i in range(1, len(ranks) + 1))
+        return recall, dcg / idcg, hit
+
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        pool = int(rng.integers(5, 80))
+        n_max = int(rng.integers(1, pool + 10))
+        rankings, relevants = [], []
+        for _ in range(int(rng.integers(1, 30))):
+            rankings.append(rng.permutation(pool)[: int(rng.integers(0, n_max + 1))])
+            size = int(rng.integers(0, min(pool, 16) + 1))
+            relevants.append(set(rng.choice(pool, size=size, replace=False).tolist()))
+        if not any(relevants):
+            relevants[0] = {int(rng.integers(pool))}
+        hits, sizes, skipped = ev.hit_matrix(rankings, relevants, n_max)
+        assert skipped == sum(1 for rel in relevants if not rel)
+        for n in range(1, n_max + 1):
+            rows = [per_user(ids[:n], rel) for ids, rel in zip(rankings, relevants) if rel]
+            want = [float(np.mean(col)) for col in zip(*rows)]
+            got = [ev.metric_recall(hits[:, :n], sizes), ev.metric_ndcg(hits[:, :n]),
+                   ev.metric_hitrate(hits[:, :n])]
+            assert got == want
 
 
 def _tiny_world(seed=0):
