@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model
+from . import evaluation
 from .data import write_atomic
 from .losses import select_positives_batch
 
@@ -173,22 +173,12 @@ def intra_score(per_user_labels, num_interests):
     return distinct / len(per_user_labels)
 
 
-def _user_vectors(params, profile, holdout, hp):
-    """Interests, attention positives, and the distinct item ids to cluster."""
-    ids, mask = model.pad_sequences([profile], hp.max_seq_len)
-    x_emb = model.embed_batch(ids, mask, params)
-    interests, attention = model.interest_forward(x_emb, mask, params)
-    pos_mask, _ = select_positives_batch(attention.value, mask, hp.pos_threshold)
-    pos_items = [np.unique(ids[0, pos]).tolist() for pos in pos_mask[0]]
-    item_ids = sorted(set(profile) | set(holdout))
-    return interests.value[0], pos_items, item_ids
-
-
 def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
     """INTER and INTRA scores over a (profile, holdout) split part.
 
     init_mode "user_interests" seeds the clusterings from interest vectors;
     "kmeanspp", the other mode the config accepts, seeds them by k-means++.
+    k_global is capped at the rows it may seed from; the report holds the count used.
     """
     if not part:
         raise ValueError("empty split part")
@@ -196,29 +186,22 @@ def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
     n_z = hp.num_interests
     emb = params.item_emb.value
 
-    per_user = []
-    for user in users:
-        profile, holdout = part[user]
-        per_user.append(_user_vectors(params, profile, holdout, hp))
-    # global matrix: all interests first, then the distinct items
-    interest_blocks = [u[0] for u in per_user]
-    item_rows = {}
-    for _, _, item_ids in per_user:
-        for item in item_ids:
-            if item not in item_rows:
-                item_rows[item] = len(item_rows)
+    interests, attention, ids, mask = evaluation.user_interests_for_profile(
+        [part[user][0] for user in users], params, hp.max_seq_len)
+    pos_mask, _ = select_positives_batch(attention, mask, hp.pos_threshold)
+    user_items = [sorted(set(part[user][0]) | set(part[user][1])) for user in users]
+    # global matrix: all interests first, then the distinct items in first-seen order
     n_interest_rows = n_z * len(users)
-    matrix = np.vstack(interest_blocks + [emb[list(item_rows)]])
-
-    interest_items = {}
-    for u, (_, pos_items, _) in enumerate(per_user):
-        for kk in range(n_z):
-            rows = [n_interest_rows + item_rows[i] for i in pos_items[kk]]
-            interest_items[u * n_z + kk] = rows
+    items = list(dict.fromkeys(itertools.chain.from_iterable(user_items)))
+    item_rows = {item: n_interest_rows + r for r, item in enumerate(items)}
+    matrix = np.vstack([interests.reshape(n_interest_rows, -1), emb[items]])
+    interest_items = {
+        row: [item_rows[i] for i in np.unique(ids[row // n_z, pos]).tolist()]
+        for row, pos in enumerate(pos_mask.reshape(n_interest_rows, -1))}
     if k_global is None:
-        k_global = min(n_z * len(users), 64)
-    k_global = min(k_global, matrix.shape[0])
+        k_global = min(n_interest_rows, 64)
     by_interests = init_mode == "user_interests"
+    k_global = min(k_global, n_interest_rows if by_interests else matrix.shape[0])
     global_seeds = None
     if by_interests:
         # seed the global clustering with a sample of the interest rows
@@ -229,16 +212,16 @@ def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
     inter, skipped = inter_score(assignment, interest_items)
 
     per_user_labels = []
-    for interests, _, item_ids in per_user:
-        local = np.vstack([interests, emb[item_ids]])
+    for z, item_ids in zip(interests, user_items):
+        local = np.vstack([z, emb[item_ids]])
         local_assign = kmeans(local, n_z, seed=seed,
-                              init_centroids=interests if by_interests else None)
+                              init_centroids=z if by_interests else None)
         per_user_labels.append(local_assign.labels[:n_z])
     intra = intra_score(per_user_labels, n_z)
     return DiagnosticsReport(inter=inter, intra=intra, k_global=k_global,
                              init_mode=init_mode, users=len(users),
                              skipped_interests=skipped,
-                             user_interests={u: v[0] for u, v in zip(users, per_user)})
+                             user_interests=dict(zip(users, interests)))
 
 
 def export_embeddings(params, user_interests, item_ids, path):

@@ -1,14 +1,14 @@
 """Retrieval and ranking metrics.
 
 An item's relevance to a user is the max dot product over the user's interest
-vectors. Retrieval scores the full catalog exactly, one user at a time, with
-ties broken by lower item id. Scoring builds one (users × max cutoff) boolean
-hit matrix per split, where row u, column r says whether user u's item at
-rank r + 1 is relevant; users with an empty relevant set are dropped there
-and counted. Recall, NDCG and hit rate at cutoff n read its first n columns.
-NDCG follows the recalled-positives convention: the ideal ranking places the
-h items actually recalled at the top, so NDCG is 1 whenever the hits are
-consecutive from rank 1.
+vectors. Retrieval extracts interests and scores the full catalog exactly, a
+block of users at a time, with ties broken by lower item id. Scoring builds one
+(users × max cutoff) boolean hit matrix per split, where row u, column r says
+whether user u's item at rank r + 1 is relevant; users with an empty relevant
+set are dropped there and counted. Recall, NDCG and hit rate at cutoff n read
+its first n columns. NDCG follows the recalled-positives convention: the ideal
+ranking places the h items actually recalled at the top, so NDCG is 1 whenever
+the hits are consecutive from rank 1.
 """
 
 from dataclasses import dataclass
@@ -17,12 +17,8 @@ import numpy as np
 
 from . import model
 
-
-@dataclass
-class Ranking:
-    item_ids: np.ndarray  # ordered by non-increasing score, ties by lower id
-    scores: np.ndarray
-    truncated: bool = False  # fewer than the requested n were available
+# Users per extractor block and retrieval call; bounds the (users, items) scores.
+EXTRACT_BLOCK = 256
 
 
 @dataclass
@@ -37,36 +33,37 @@ class EvalReport:
 
 
 def max_interest_scores(interests, item_emb):
-    """Per-item relevance: max over interests of the dot product."""
-    return (item_emb @ interests.T).max(axis=1)
+    """(users, items) max over interests of the dot product, folded in one
+    interest at a time so no (users, num_interests, items) array is formed."""
+    scores = interests[:, 0] @ item_emb.T
+    for k in range(1, interests.shape[1]):
+        np.maximum(scores, interests[:, k] @ item_emb.T, out=scores)
+    return scores
 
 
-def retrieve_topn(interests, item_emb, n, exclude=()):
-    """Top-n items by max-over-interests dot product.
+def retrieve_topn(interests, item_emb, n, excludes):
+    """(users, min(n, items)) top item ids by max-over-interests dot product.
 
-    Excluded ids never appear. If fewer than n candidates exist the ranking
-    holds all of them and is flagged truncated.
+    excludes holds, per user, the item ids never to return. Ties go to the
+    lower id; slots past a user's candidates hold -1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     scores = max_interest_scores(interests, item_emb)
-    exclude = np.unique(np.asarray(list(exclude), dtype=np.int64))
-    if exclude.size:
-        scores = scores.copy()
-        scores[exclude] = -np.inf
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    available = scores.shape[0] - exclude.size
-    take = min(n, available)
-    top = order[:take]
-    return Ranking(item_ids=top, scores=scores[top], truncated=take < n)
+    for row, exclude in enumerate(excludes):
+        scores[row, np.asarray(list(exclude), dtype=np.int64)] = -np.inf
+    np.negative(scores, out=scores)
+    top = np.argsort(scores, axis=1, kind="stable")[:, :n].copy()
+    top[np.take_along_axis(scores, top, axis=1) == np.inf] = -1
+    return top
 
 
 def hit_matrix(rankings, relevants, n):
     """(users, n) bool matrix: hits[u, r] is true when rank r + 1 of user u is relevant.
 
-    rankings are item-id arrays, shorter ones padded with misses; relevants are
-    sets. Users with an empty relevant set are dropped. Returns (hits, sizes of
-    the kept relevant sets, number of users dropped).
+    rankings are item-id rows, shorter ones padded with misses, and id -1 is a
+    miss; relevants are sets. Users with an empty relevant set are dropped.
+    Returns (hits, sizes of the kept relevant sets, number of users dropped).
     """
     kept = [(ids, rel) for ids, rel in zip(rankings, relevants) if rel]
     if not kept:
@@ -101,13 +98,20 @@ def metric_hitrate(hits):
     return float(np.mean(hits.any(axis=1)))
 
 
-def user_interests_for_profile(profile_items, params, max_seq_len):
-    """(num_interests, d) interest vectors for a profile, truncated to the last
-    max_seq_len items; the batched extractor at B=1."""
-    ids, mask = model.pad_sequences([profile_items], max_seq_len)
-    x_emb = model.embed_batch(ids, mask, params)
-    interests, _ = model.interest_forward(x_emb, mask, params)
-    return interests.value[0]
+def user_interests_for_profile(profiles, params, max_seq_len):
+    """Interests (U, num_interests, d), attention (U, num_interests,
+    max_seq_len) and the padded (ids, mask) of U profiles, each truncated to
+    its last max_seq_len items; the extractor runs EXTRACT_BLOCK users at a time."""
+    ids, mask = model.pad_sequences(profiles, max_seq_len)
+    n_z, d = params.att_query.value.shape[0], params.item_emb.value.shape[1]
+    interests = np.empty((len(profiles), n_z, d))
+    attention = np.empty((len(profiles), n_z, max_seq_len))
+    for start in range(0, len(profiles), EXTRACT_BLOCK):
+        rows = slice(start, start + EXTRACT_BLOCK)
+        x_emb = model.embed_batch(ids[rows], mask[rows], params)
+        z, a = model.interest_forward(x_emb, mask[rows], params)
+        interests[rows], attention[rows] = z.value, a.value
+    return interests, attention, ids, mask
 
 
 def evaluate_split(params, part, hp, cutoffs=(20, 50)):
@@ -121,13 +125,16 @@ def evaluate_split(params, part, hp, cutoffs=(20, 50)):
     if not cutoffs or cutoffs[0] < 1:
         raise ValueError(f"cutoffs must be positive, got {cutoffs}")
     n_max = cutoffs[-1]
-    rankings, relevants = [], []
-    for user in sorted(part):
-        profile, holdout = part[user]
-        z = user_interests_for_profile(profile, params, hp.max_seq_len)
-        ranking = retrieve_topn(z, params.item_emb.value, n_max, exclude=set(profile))
-        rankings.append(ranking.item_ids)
-        relevants.append(set(holdout) - set(profile))
+    users = sorted(part)
+    profiles = [part[user][0] for user in users]
+    excludes = [set(profile) for profile in profiles]
+    interests = user_interests_for_profile(profiles, params, hp.max_seq_len)[0]
+    rankings = []
+    for start in range(0, len(users), EXTRACT_BLOCK):
+        rows = slice(start, start + EXTRACT_BLOCK)
+        rankings.extend(retrieve_topn(interests[rows], params.item_emb.value, n_max,
+                                      excludes[rows]))
+    relevants = [set(part[user][1]) - exclude for user, exclude in zip(users, excludes)]
     hits, sizes, skipped = hit_matrix(rankings, relevants, n_max)
     return EvalReport(
         cutoffs=cutoffs,

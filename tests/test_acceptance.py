@@ -121,11 +121,11 @@ def test_retrieval_metrics_and_losses_match_bruteforce():
         n = int(rng.integers(1, num_items + 1))
         n_excl = int(rng.integers(0, num_items // 2 + 1))
         exclude = rng.choice(num_items, size=n_excl, replace=False)
-        got = ev.retrieve_topn(z, emb, n, exclude=exclude)
+        got = ev.retrieve_topn(z[None], emb, n, [exclude])[0]
         scores = (emb @ z.T).max(axis=1)
         keep = sorted(set(range(num_items)) - set(exclude.tolist()))
         want = sorted(keep, key=lambda i: (-scores[i], i))[: min(n, len(keep))]
-        assert got.item_ids.tolist() == want
+        assert got.tolist() == want + [-1] * (n - len(want))  # -1: no candidate left
 
     for _ in range(50):
         pool = int(rng.integers(10, 80))
@@ -209,9 +209,8 @@ REGULARIZERS = dict(lambda_cl=0.10, lambda_att=0.04, lambda_ct=0.01)
 def mean_interest_cosine(params, part, hp):
     """Mean over users of the mean pairwise cosine between their interests."""
     vals = []
-    for user in sorted(part):
-        profile, _ = part[user]
-        z = ev.user_interests_for_profile(profile, params, hp.max_seq_len)
+    profiles = [part[user][0] for user in sorted(part)]
+    for z in ev.user_interests_for_profile(profiles, params, hp.max_seq_len)[0]:
         pairs = [float(z[i] @ z[j] / (np.linalg.norm(z[i]) * np.linalg.norm(z[j])))
                  for i in range(len(z)) for j in range(i + 1, len(z))]
         vals.append(np.mean(pairs))

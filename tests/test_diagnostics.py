@@ -172,6 +172,17 @@ def test_diagnose_user_interests_mode():
     assert 0.0 <= rep.inter <= 1.0 and 0.0 <= rep.intra <= 1.0
 
 
+def test_diagnose_caps_k_global_at_the_rows_it_seeds_from():
+    sp, hp, params = _tiny_world(3)
+    interest_rows = hp.num_interests * len(sp.test)
+    items = {i for profile, holdout in sp.test.values() for i in profile + holdout}
+    rep = dg.diagnose(params, sp.test, hp, k_global=250, init_mode="user_interests")
+    assert rep.k_global == interest_rows
+    assert f"k_global={interest_rows} " in dg.report_record(rep)
+    rep = dg.diagnose(params, sp.test, hp, k_global=250, init_mode="kmeanspp")
+    assert rep.k_global == interest_rows + len(items)
+
+
 def test_diagnose_record_line():
     sp, hp, params = _tiny_world(2)
     rep = dg.diagnose(params, sp.test, hp, seed=0)

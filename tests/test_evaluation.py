@@ -1,43 +1,52 @@
 import numpy as np
 import pytest
 
+from mirec import diagnostics as dg
 from mirec import evaluation as ev
+from mirec import model as m
 from mirec.data import SyntheticSpec, generate_synthetic, split
 from mirec.model import HyperParams, ModelParams
 
 
 def brute_force_topn(z, emb, n, exclude=()):
+    """Top-n ids of one user, slots past its candidates -1, up to the catalog size."""
     scores = [max(float(emb[i] @ zk) for zk in z) for i in range(emb.shape[0])]
     order = sorted(
         (i for i in range(emb.shape[0]) if i not in set(exclude)),
         key=lambda i: (-scores[i], i),
-    )
-    return np.array(order[:n], dtype=np.int64)
+    )[:n]
+    return np.array(order + [-1] * (min(n, emb.shape[0]) - len(order)), dtype=np.int64)
+
+
+def retrieve_one(z, emb, n, exclude=()):
+    """Top-n row of a single user through the block API."""
+    return ev.retrieve_topn(np.asarray(z)[None], emb, n, [exclude])[0]
 
 
 def test_retrieve_single_interest_is_plain_topn():
     rng = np.random.default_rng(0)
     emb = rng.normal(size=(12, 4))
     z = rng.normal(size=(1, 4))
-    r = ev.retrieve_topn(z, emb, 5)
+    r = retrieve_one(z, emb, 5)
     want = np.argsort(-(emb @ z[0]), kind="stable")[:5]
-    assert np.array_equal(r.item_ids, want)
-    assert not r.truncated
+    assert np.array_equal(r, want)
+    assert np.all(r >= 0)
 
 
 def test_retrieve_max_over_interests():
     emb = np.eye(4)
     z = np.array([[10.0, 0, 0, 0], [0, 0, 9.0, 0]])
-    r = ev.retrieve_topn(z, emb, 2)
-    assert list(r.item_ids) == [0, 2]
-    assert r.scores[0] == 10.0 and r.scores[1] == 9.0
+    r = retrieve_one(z, emb, 2)
+    assert list(r) == [0, 2]
+    scores = ev.max_interest_scores(z[None], emb)[0]
+    assert scores[r[0]] == 10.0 and scores[r[1]] == 9.0
 
 
 def test_retrieve_tie_break_prefers_lower_id():
     emb = np.ones((5, 3))
     z = np.ones((2, 3))
-    r = ev.retrieve_topn(z, emb, 3)
-    assert list(r.item_ids) == [0, 1, 2]
+    r = retrieve_one(z, emb, 3)
+    assert list(r) == [0, 1, 2]
 
 
 def test_retrieve_excludes_profile_items():
@@ -45,17 +54,17 @@ def test_retrieve_excludes_profile_items():
     emb = rng.normal(size=(20, 4))
     z = rng.normal(size=(3, 4))
     excl = {0, 7, 13}
-    r = ev.retrieve_topn(z, emb, 10, exclude=excl)
-    assert excl.isdisjoint(set(r.item_ids))
+    r = retrieve_one(z, emb, 10, exclude=excl)
+    assert excl.isdisjoint(set(r.tolist()))
 
 
 def test_retrieve_truncates_when_catalog_too_small():
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(6, 3))
     z = rng.normal(size=(2, 3))
-    r = ev.retrieve_topn(z, emb, 10, exclude={1, 4})
-    assert r.truncated
-    assert sorted(r.item_ids) == [0, 2, 3, 5]
+    r = retrieve_one(z, emb, 10, exclude={1, 4})
+    assert r.tolist()[4:] == [-1, -1]  # only 4 candidates: the rest read -1
+    assert sorted(r.tolist()[:4]) == [0, 2, 3, 5]
 
 
 def test_retrieve_matches_brute_force_oracle():
@@ -67,14 +76,26 @@ def test_retrieve_matches_brute_force_oracle():
         z = rng.normal(size=(n_z, 5))
         n = int(rng.integers(1, v))
         excl = set(rng.choice(v, size=int(rng.integers(0, 4)), replace=False).tolist())
-        got = ev.retrieve_topn(z, emb, n, exclude=excl)
+        got = retrieve_one(z, emb, n, exclude=excl)
         want = brute_force_topn(z, emb, n, exclude=excl)
-        assert np.array_equal(got.item_ids, want)
+        assert np.array_equal(got, want)
+
+
+def test_retrieve_block_ties_straddle_cutoff_with_per_user_excludes():
+    # item 0 scores 2, items 1-4 tie at 1, item 5 scores 0; the cut-off at 3
+    # falls inside the tie, after each user's own excludes are removed
+    emb = np.array([[2.0], [1.0], [1.0], [1.0], [1.0], [0.0]])
+    z = np.ones((2, 2, 1))
+    excludes = [{2}, {0, 1}]
+    got = ev.retrieve_topn(z, emb, 3, excludes)
+    assert got.tolist() == [[0, 1, 3], [2, 3, 4]]
+    for row, exclude in zip(got, excludes):
+        assert np.array_equal(row, brute_force_topn(z[0], emb, 3, exclude))
 
 
 def test_retrieve_rejects_bad_n():
     with pytest.raises(ValueError, match="n must be"):
-        ev.retrieve_topn(np.ones((1, 2)), np.ones((3, 2)), 0)
+        ev.retrieve_topn(np.ones((1, 1, 2)), np.ones((3, 2)), 0, [()])
 
 
 def one_user(ranked, relevant):
@@ -245,8 +266,89 @@ def test_report_text_and_record_stable():
 
 def test_profile_items_never_retrieved():
     sp, hp, params = _tiny_world(6)
-    for user in sorted(sp.test):
-        profile, _ = sp.test[user]
-        z = ev.user_interests_for_profile(profile, params, hp.max_seq_len)
-        r = ev.retrieve_topn(z, params.item_emb.value, 20, exclude=set(profile))
-        assert set(profile).isdisjoint(set(r.item_ids.tolist()))
+    profiles = [sp.test[user][0] for user in sorted(sp.test)]
+    z = ev.user_interests_for_profile(profiles, params, hp.max_seq_len)[0]
+    got = ev.retrieve_topn(z, params.item_emb.value, 20, [set(p) for p in profiles])
+    for profile, row in zip(profiles, got):
+        assert set(profile).isdisjoint(set(row.tolist()))
+
+
+def test_empty_part_raises_named_errors():
+    _, hp, params = _tiny_world(7)
+    with pytest.raises(ValueError, match="no users with a non-empty relevant set"):
+        ev.evaluate_split(params, {}, hp)
+    with pytest.raises(ValueError, match="empty split part"):
+        dg.diagnose(params, {}, hp)
+
+
+def b1_extract(profiles, params, max_seq_len):
+    """Per-user reference extractor: each padded profile alone through the
+    extractor at B=1, stacked in the block extractor's return layout."""
+    rows = []
+    for profile in profiles:
+        ids, mask = m.pad_sequences([profile], max_seq_len)
+        z, a = m.interest_forward(m.embed_batch(ids, mask, params), mask, params)
+        rows.append((z.value[0], a.value[0], ids[0], mask[0]))
+    return tuple(np.stack(col) for col in zip(*rows))
+
+
+def b1_ranking(z, emb, n, exclude):
+    """Per-user reference ranking: brute-force scores, lexsort with ties to the
+    lower id, slots past the candidates -1."""
+    scores = np.array([max(float(emb[i] @ zk) for zk in z) for i in range(len(emb))])
+    scores[list(exclude)] = -np.inf
+    order = np.lexsort((np.arange(len(emb)), -scores))[:n]
+    return np.where(scores[order] == -np.inf, -1, order)
+
+
+def test_blocks_match_per_user_reference(monkeypatch):
+    # two full extractor / retrieval blocks plus a partial one
+    rng = np.random.default_rng(8)
+    hp = HyperParams(embed_dim=8, att_hidden_dim=8, recon_hidden_dim=4,
+                     num_interests=3, max_seq_len=6)
+    params = ModelParams.init(40, hp, rng)
+    part = {}
+    for user in range(2 * ev.EXTRACT_BLOCK + 3):
+        items = rng.choice(40, size=int(rng.integers(2, 12)), replace=False).tolist()
+        cut = int(rng.integers(1, len(items)))
+        part[user] = (items[:cut], items[cut:])
+    profiles = [part[u][0] for u in sorted(part)]
+
+    got = ev.user_interests_for_profile(profiles, params, hp.max_seq_len)
+    want = b1_extract(profiles, params, hp.max_seq_len)
+    for g, w in zip(got[:2], want[:2]):  # interests, attention
+        assert g.shape == w.shape and np.max(np.abs(g - w)) <= 1e-12
+    for g, w in zip(got[2:], want[2:]):  # padded ids, mask
+        assert np.array_equal(g, w)
+
+    seen = []
+    real_hit_matrix = ev.hit_matrix
+
+    def spy(rankings, relevants, n):
+        seen.append(list(rankings))
+        return real_hit_matrix(rankings, relevants, n)
+
+    monkeypatch.setattr(ev, "hit_matrix", spy)
+    rep = ev.evaluate_split(params, part, hp, cutoffs=(5, 10))
+    monkeypatch.undo()
+    emb = params.item_emb.value
+    rankings = [b1_ranking(z, emb, 10, set(p)) for z, p in zip(want[0], profiles)]
+    assert len(seen[0]) == len(rankings)
+    for g, w in zip(seen[0], rankings):
+        assert np.array_equal(g, w)
+    relevants = [set(part[u][1]) - set(part[u][0]) for u in sorted(part)]
+    hits, sizes, skipped = ev.hit_matrix(rankings, relevants, 10)
+    assert (rep.users_evaluated, rep.users_skipped) == (len(hits), skipped)
+    for n in rep.cutoffs:
+        assert rep.recall[n] == ev.metric_recall(hits[:, :n], sizes)
+        assert rep.hitrate[n] == ev.metric_hitrate(hits[:, :n])
+        assert abs(rep.ndcg[n] - ev.metric_ndcg(hits[:, :n])) <= 1e-10
+
+    for mode in ("kmeanspp", "user_interests"):
+        block = dg.diagnose(params, part, hp, init_mode=mode)
+        monkeypatch.setattr(ev, "user_interests_for_profile", b1_extract)
+        ref = dg.diagnose(params, part, hp, init_mode=mode)
+        monkeypatch.undo()
+        assert block == ref  # inter, intra, k_global, users, skipped interests
+        for user, z in ref.user_interests.items():
+            assert np.max(np.abs(block.user_interests[user] - z)) <= 1e-12

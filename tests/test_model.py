@@ -163,7 +163,7 @@ def test_extract_interests_rejects_empty_mask():
 def test_score_trivials_and_hand_sum():
     # dot-product relevance of one interest to one item, as retrieval scores it
     def score(z, y):
-        return float(ev.max_interest_scores(np.array([z]), np.array([y]))[0])
+        return float(ev.max_interest_scores(np.array([[z]]), np.array([y]))[0, 0])
 
     assert score([1.0, 0.0], [1.0, 0.0]) == 1.0
     assert score([1.0, 0.0], [0.0, 1.0]) == 0.0
