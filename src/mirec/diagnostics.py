@@ -4,6 +4,7 @@ Distance is the negative dot product, so assignment picks the centroid with
 the largest dot product. Centroids update to cluster means; because a mean
 update is not guaranteed to lower this objective, an iteration that would
 raise it is reverted and the loop stops, keeping the objective non-increasing.
+Empty clusters are reseeded until a reseed no longer moves a centroid.
 
 INTER: one global clustering over every selected user's interests plus their
 profile and holdout items; the score is the fraction of (interest, positive
@@ -54,19 +55,27 @@ def _objective(vectors, labels, centroids):
 
 
 def _repair_empties(vectors, labels, centroids):
-    """Reseed each empty cluster at the point farthest from its centroid."""
+    """Reseed each empty cluster at the point farthest from its centroid.
+
+    labels must be the assignment to centroids. A round that moves no centroid
+    would repeat until round k, so stop there and count the reseeds it skips."""
+    k = centroids.shape[0]
     reseeded = 0
-    for _ in range(centroids.shape[0]):
-        counts = np.bincount(labels, minlength=centroids.shape[0])
+    for rounds_left in range(k, 0, -1):
+        counts = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
             break
         dots = (vectors * centroids[labels]).sum(axis=1)
+        before = centroids[empty]
         for c in empty:
             far = int(np.argmin(dots))
             centroids[c] = vectors[far]
             dots[far] = np.inf  # one reseed point per empty cluster
-            reseeded += 1
+        if np.array_equal(centroids[empty], before):
+            reseeded += empty.size * rounds_left
+            break
+        reseeded += empty.size
         labels = _assign(vectors, centroids)
     return labels, centroids, reseeded
 
@@ -74,9 +83,9 @@ def _repair_empties(vectors, labels, centroids):
 def _init_kmeanspp(vectors, k, rng):
     n = vectors.shape[0]
     chosen = [int(rng.integers(n))]
+    nearest = np.full(n, np.inf)  # negative dot to the nearest chosen seed
     while len(chosen) < k:
-        dist = -(vectors @ vectors[chosen].T)  # negative dot to each chosen
-        nearest = dist.min(axis=1)
+        nearest = np.minimum(nearest, -(vectors @ vectors[chosen[-1]]))
         w = nearest - nearest.min()
         w = w * w
         w[chosen] = 0.0
@@ -228,7 +237,7 @@ def export_embeddings(params, user_interests, item_ids, path):
     """TSV rows: kind, owner id, index, then the vector columns.
 
     user_interests maps user id to an (n_z, d) matrix; item rows follow with
-    index 0. Floats use repr precision so a read round-trips exactly.
+    index 0. Floats keep 17 significant digits, so a read round-trips exactly.
     """
     emb = params.item_emb.value
     items = sorted(set(int(i) for i in item_ids))
@@ -236,21 +245,10 @@ def export_embeddings(params, user_interests, item_ids, path):
         (("interest", user, k, vec) for user in sorted(user_interests)
          for k, vec in enumerate(user_interests[user])),
         (("item", item, 0, emb[item]) for item in items))
-    write_atomic(path, (f"{kind}\t{owner}\t{k}\t" + "\t".join(f"{x:.17g}" for x in vec) + "\n"
+    row_format = "%s\t%d\t%d" + "\t%.17g" * emb.shape[1] + "\n"
+    write_atomic(path, (row_format % (kind, owner, k, *vec.tolist())
                         for kind, owner, k, vec in rows))
     return sum(len(z) for z in user_interests.values()) + len(items)
-
-
-def read_embeddings(path):
-    """Parse an export_embeddings file; returns list of (kind, owner, index, vector)."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            kind, owner, index = parts[0], int(parts[1]), int(parts[2])
-            vec = np.array([float(x) for x in parts[3:]])
-            out.append((kind, owner, index, vec))
-    return out
 
 
 def report_record(report):

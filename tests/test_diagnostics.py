@@ -6,6 +6,18 @@ from mirec.data import SyntheticSpec, generate_synthetic, split
 from mirec.model import HyperParams, ModelParams
 
 
+def read_embeddings(path):
+    """Parse an export_embeddings file; returns list of (kind, owner, index, vector)."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.rstrip("\n").split("\t")
+            kind, owner, index = parts[0], int(parts[1]), int(parts[2])
+            vec = np.array([float(x) for x in parts[3:]])
+            out.append((kind, owner, index, vec))
+    return out
+
+
 def blobs(rng, centers, per, sigma=0.3):
     pts, labels = [], []
     for i, c in enumerate(centers):
@@ -212,7 +224,7 @@ def test_export_round_trip_exact(tmp_path):
     items = [0, 4, 11, 19]
     path = tmp_path / "emb.tsv"
     dg.export_embeddings(params, users, items, str(path))
-    back = dg.read_embeddings(str(path))
+    back = read_embeddings(str(path))
     for kind, owner, index, vec in back:
         if kind == "interest":
             assert np.max(np.abs(vec - users[owner][index])) <= 1e-12
@@ -230,3 +242,216 @@ def test_export_row_count_oracle(tmp_path):
     path = tmp_path / "emb.tsv"
     rows = dg.export_embeddings(params, users, items, str(path))
     assert rows == 7 * 2 + len(set(items))
+
+
+def test_export_bytes_match_per_float_formatting(tmp_path):
+    hp = HyperParams(embed_dim=4, att_hidden_dim=4, recon_hidden_dim=2,
+                     num_interests=2, max_seq_len=5)
+    params = ModelParams.init(6, hp, np.random.default_rng(5))
+    params.item_emb.value[2] = [-0.0, 5e-324, 1e300, 0.1]
+    params.item_emb.value[4] = [-1e-300, np.inf, -np.inf, np.nan]
+    users = {np.int64(11): np.array([[0.1, -0.0, 5e-324, 1e300],
+                                     [1.0 / 3.0, -2.5, 0.0, 123456789.0]]),
+             np.int64(3): np.random.default_rng(6).normal(size=(2, 4))}
+    items = [4, np.int64(2), 0, 2]
+    path = tmp_path / "emb.tsv"
+    dg.export_embeddings(params, users, items, str(path))
+    emb = params.item_emb.value
+    rows = [("interest", user, k, vec) for user in sorted(users)
+            for k, vec in enumerate(users[user])]
+    rows += [("item", item, 0, emb[item]) for item in (0, 2, 4)]
+    want = "".join(f"{kind}\t{owner}\t{k}\t" + "\t".join(f"{x:.17g}" for x in vec) + "\n"
+                   for kind, owner, k, vec in rows)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+# Reference k-means, verbatim from before the repair loop stopped at its fixed
+# point and k-means++ seeding kept a running minimum: the library's kmeans must
+# return bitwise the same ClusterAssignment on every input.
+_assign = dg._assign
+_objective = dg._objective
+ClusterAssignment = dg.ClusterAssignment
+
+
+def _repair_empties(vectors, labels, centroids):
+    """Reseed each empty cluster at the point farthest from its centroid."""
+    reseeded = 0
+    for _ in range(centroids.shape[0]):
+        counts = np.bincount(labels, minlength=centroids.shape[0])
+        empty = np.flatnonzero(counts == 0)
+        if empty.size == 0:
+            break
+        dots = (vectors * centroids[labels]).sum(axis=1)
+        for c in empty:
+            far = int(np.argmin(dots))
+            centroids[c] = vectors[far]
+            dots[far] = np.inf  # one reseed point per empty cluster
+            reseeded += 1
+        labels = _assign(vectors, centroids)
+    return labels, centroids, reseeded
+
+
+def _init_kmeanspp(vectors, k, rng):
+    n = vectors.shape[0]
+    chosen = [int(rng.integers(n))]
+    while len(chosen) < k:
+        dist = -(vectors @ vectors[chosen].T)  # negative dot to each chosen
+        nearest = dist.min(axis=1)
+        w = nearest - nearest.min()
+        w = w * w
+        w[chosen] = 0.0
+        if w.sum() == 0.0:
+            remaining = np.setdiff1d(np.arange(n), chosen)
+            chosen.append(int(rng.choice(remaining)))
+        else:
+            chosen.append(int(rng.choice(n, p=w / w.sum())))
+    return vectors[chosen].copy()
+
+
+def kmeans_reference(vectors, k, seed=0, max_iter=100, init_centroids=None):
+    """Lloyd iterations with dot-product assignment and mean updates.
+
+    With init_centroids None the centroids are seeded by k-means++, adapted by
+    shifting negative-dot distances to be non-negative before squaring;
+    otherwise the given (k, d) vectors (typically a user's interest vectors)
+    are the initial centroids.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    n = v.shape[0]
+    if k < 2:
+        raise ValueError(f"need at least 2 clusters, got k={k}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds the {n} available vectors")
+    rng = np.random.default_rng(seed)
+    if init_centroids is None:
+        centroids = _init_kmeanspp(v, k, rng)
+    else:
+        centroids = np.array(init_centroids, dtype=np.float64)
+        if centroids.shape != (k, v.shape[1]):
+            raise ValueError(f"init_centroids shape {centroids.shape} does not "
+                             f"match (k={k}, d={v.shape[1]})")
+
+    labels = _assign(v, centroids)
+    labels, centroids, reseeded = _repair_empties(v, labels, centroids)
+    obj = _objective(v, labels, centroids)
+    iterations = 0
+    for _ in range(max_iter):
+        new_centroids = centroids.copy()
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                new_centroids[c] = v[members].mean(axis=0)
+        new_labels = _assign(v, new_centroids)
+        new_labels, new_centroids, r = _repair_empties(v, new_labels, new_centroids)
+        new_obj = _objective(v, new_labels, new_centroids)
+        if new_obj > obj:
+            break  # mean update would raise the dot-product objective; keep previous
+        moved = not np.array_equal(new_labels, labels)
+        labels, centroids, obj = new_labels, new_centroids, new_obj
+        reseeded += r
+        iterations += 1
+        if not moved:
+            break
+    return ClusterAssignment(centroids=centroids, labels=labels, n_clusters=k,
+                             objective=obj, iterations=iterations,
+                             reseeded=reseeded)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.centroids.dtype == want.centroids.dtype
+    assert got.centroids.shape == want.centroids.shape
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.n_clusters == want.n_clusters
+    assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+    assert (got.iterations, got.reseeded) == (want.iterations, want.reseeded)
+
+
+def _oracle_cases():
+    """(vectors, k, seed, init_centroids) covering both init modes and the corners."""
+    cases = []
+    for case in range(40):
+        rng = np.random.default_rng(100 + case)
+        n = int(rng.integers(3, 60))
+        d = int(rng.choice([1, 2, 3, 8, 16]))
+        k = int(rng.integers(2, n + 1)) if case % 5 else n  # every fifth: k == n
+        v = rng.normal(loc=rng.normal(size=d), scale=rng.uniform(0.1, 3.0),
+                       size=(n, d))
+        cases.append((v, k, case, None))
+        # interest-style init: random vectors, often far from the data, leave empties
+        cases.append((v, k, case, 3.0 * rng.normal(size=(k, d))))
+    for case in range(20):  # duplicate rows: k-means++ runs out of weight
+        rng = np.random.default_rng(200 + case)
+        d = int(rng.choice([1, 2, 4]))
+        base = rng.normal(size=(int(rng.integers(1, 4)), d))
+        v = base[rng.integers(len(base), size=int(rng.integers(4, 20)))]
+        k = int(rng.integers(2, len(v) + 1))
+        cases.append((v, k, case, None))
+        cases.append((v, k, case, v[rng.integers(len(v), size=k)]))
+    rng = np.random.default_rng(3)  # the anti-aligned init of the reseed test
+    v = np.array([3.0, 0.0]) + 0.1 * rng.normal(size=(10, 2))
+    cases.append((v, 2, 0, np.array([[3.0, 0.0], [-3.0, 0.0]])))
+    return cases
+
+
+def test_kmeans_bitwise_equal_to_reference():
+    reseeds = fallbacks = 0
+    for v, k, seed, init in _oracle_cases():
+        want = kmeans_reference(v, k, seed=seed, init_centroids=init)
+        got = dg.kmeans(v, k, seed=seed, init_centroids=init)
+        assert_bitwise_equal(got, want)
+        reseeds += want.reseeded > 0
+        if init is None and len(np.unique(v, axis=0)) < k:
+            fallbacks += 1
+    # the cases reach the repair loop and the k-means++ fallback branch
+    assert reseeds >= 10 and fallbacks >= 5
+
+
+def test_repair_stops_when_no_reseed_moves_a_centroid(monkeypatch):
+    # points on one ray: the centroid at the far end wins every point, so the
+    # five clusters reseeded at the nearest points stay empty
+    v = np.arange(1.0, 11.0)[:, None] * np.array([1.0, 0.0])
+    init = np.vstack([[10.0, 0.0], np.full((5, 2), -1.0)])
+    k = len(init)
+    assign = dg._assign
+    labels = assign(v, init)
+    calls = []
+
+    def counting(name):
+        def wrapped(vectors, centroids):
+            calls.append(name)
+            return assign(vectors, centroids)
+        return wrapped
+
+    monkeypatch.setattr(dg, "_assign", counting("new"))
+    monkeypatch.setitem(globals(), "_assign", counting("reference"))
+    got = dg._repair_empties(v, labels, init.copy())
+    want = _repair_empties(v, labels, init.copy())
+    assert calls.count("reference") == k  # one reassignment per round
+    assert calls.count("new") <= 3
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[2] == want[2] == (k - 1) * k
+
+
+@pytest.mark.parametrize("init_mode", ["kmeanspp", "user_interests"])
+def test_diagnose_clusters_globally_first(monkeypatch, init_mode):
+    # the benchmark's tracer counts the first kmeans call of a diagnose as the
+    # global clustering and the rest as per-user ones
+    sp, hp, params = _tiny_world(4)
+    calls = []
+    kmeans = dg.kmeans
+
+    def recording(vectors, k, **kwargs):
+        calls.append((len(vectors), k))
+        return kmeans(vectors, k, **kwargs)
+
+    monkeypatch.setattr(dg, "kmeans", recording)
+    rep = dg.diagnose(params, sp.test, hp, init_mode=init_mode, seed=2)
+    items = {i for profile, holdout in sp.test.values() for i in profile + holdout}
+    assert calls[0] == (hp.num_interests * len(sp.test) + len(items), rep.k_global)
+    assert len(calls) == 1 + len(sp.test)
+    for (profile, holdout), (rows, k) in zip((sp.test[u] for u in sorted(sp.test)), calls[1:]):
+        assert (rows, k) == (hp.num_interests + len(set(profile) | set(holdout)),
+                             hp.num_interests)
