@@ -6,6 +6,7 @@ sequences; validation and test users get a chronological (profile, holdout)
 pair so retrieval is scored on unseen suffixes.
 """
 
+import bisect
 import csv
 import io
 import os
@@ -54,6 +55,10 @@ class SyntheticSpec:
     popularity_decay: float = 0.7
 
     def __post_init__(self):
+        for name in ("n_clusters", "items_per_cluster", "users", "interests_per_user",
+                     "seq_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.interests_per_user > self.n_clusters:
             raise ValueError(
                 f"interests_per_user {self.interests_per_user} exceeds "
@@ -213,29 +218,58 @@ def generate_synthetic(spec):
     carry real signal (the next-most-popular items of the user's clusters).
     Timestamps are the position index, so generation order is chronological.
 
+    Cluster c holds the contiguous ids [c*items_per_cluster,
+    (c+1)*items_per_cluster), so a cluster draw reads only that block: the
+    zero weights before it add exactly to the catalog-wide cdf, and the cdf
+    after it is flat at 1. A noise draw walks only the user's taken ids.
+    Each draw makes the RNG calls that Generator.choice makes over the whole
+    catalog (one random() searched in the normalised cdf for a weighted
+    pick, one integers() for a uniform one among the unused ids) and lands
+    on the same item, so a seed gives the same log as a whole-catalog
+    sampler would.
+
     Returns (InteractionLog, labels) where labels[i] is item i's cluster.
     """
     rng = np.random.default_rng(spec.seed)
-    num_items = spec.n_clusters * spec.items_per_cluster
-    labels = np.repeat(np.arange(spec.n_clusters), spec.items_per_cluster)
-    local_rank = np.tile(np.arange(spec.items_per_cluster), spec.n_clusters)
+    ipc = spec.items_per_cluster
+    num_items = spec.n_clusters * ipc
+    labels = np.repeat(np.arange(spec.n_clusters), ipc)
+    local_rank = np.tile(np.arange(ipc), spec.n_clusters)
     popularity = spec.popularity_decay ** local_rank
+    weights = np.zeros(num_items)  # zero outside the block being drawn from
     users, items, stamps = [], [], []
     for u in range(spec.users):
         clusters = rng.choice(spec.n_clusters, size=spec.interests_per_user, replace=False)
         used = np.zeros(num_items, dtype=bool)
+        taken = []  # sorted ids of used
         for t in range(spec.seq_len):
             if rng.random() < spec.noise_rate:
-                pool = np.flatnonzero(~used)
-                item = int(rng.choice(pool))
+                # choice over the unused ids is one integers() draw of a rank
+                # among them; step past each taken id at or below the item
+                item = int(rng.integers(num_items - len(taken)))
+                for k in taken:
+                    if k > item:
+                        break
+                    item += 1
             else:
-                c = int(clusters[rng.integers(len(clusters))])
-                in_cluster = (labels == c) & ~used
-                if not in_cluster.any():
-                    in_cluster = ~used
-                w = popularity * in_cluster
-                item = int(rng.choice(num_items, p=w / w.sum()))
+                lo = int(clusters[rng.integers(len(clusters))]) * ipc
+                free = ~used[lo:lo + ipc]
+                if free.any():
+                    block = weights[lo:lo + ipc]
+                    block[:] = popularity[lo:lo + ipc] * free
+                    # the whole-catalog sum, not block.sum(): pairwise
+                    # summation groups terms by position, so the block's own
+                    # sum can differ in the last bit
+                    total = weights.sum()
+                    cdf = (block / total).cumsum()
+                    block[:] = 0.0
+                    cdf /= cdf[-1]
+                    item = lo + int(cdf.searchsorted(rng.random(), side="right"))
+                else:
+                    w = popularity * ~used
+                    item = int(rng.choice(num_items, p=w / w.sum()))
             used[item] = True
+            bisect.insort(taken, item)
             users.append(u)
             items.append(item)
             stamps.append(t)

@@ -83,6 +83,13 @@ def test_synth_seed_changes_output(tmp_path, monkeypatch):
     assert (tmp_path / "c" / "interactions.tsv").read_bytes() == a
 
 
+def test_synth_rejects_zero_users_by_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert run(["synth", "--out", "s", "--users", "0"]) == 1
+    assert "users" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "interactions.tsv").exists()
+
+
 def test_missing_dataset_path_names_it(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     rc = run(["train", "--set", "dataset=/no/such/file.tsv",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mirec import data as d
+from mirec.cli import OUTPUT_ROOT_ENV, main
 
 
 def write_log(path, rows, delim="\t"):
@@ -181,6 +182,11 @@ def test_synthetic_spec_validation():
         d.SyntheticSpec(noise_rate=1.0)
     with pytest.raises(ValueError, match="popularity_decay"):
         d.SyntheticSpec(popularity_decay=0.0)
+    for name in ("n_clusters", "items_per_cluster", "users", "interests_per_user",
+                 "seq_len"):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+                d.SyntheticSpec(**{name: bad})
 
 
 def test_synthetic_single_cluster_no_noise_stays_in_cluster():
@@ -273,3 +279,100 @@ def test_failed_chunk_leaves_previous_file_and_no_temp_file(tmp_path):
         d.write_atomic(str(path), chunks())
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["embeddings.tsv"]
+
+
+# Reference generator, verbatim from before cluster draws read only their own
+# block and noise draws picked by rank: generate_synthetic must give the same
+# log and labels for every spec.
+InteractionLog = d.InteractionLog
+
+
+def generate_synthetic_reference(spec):
+    rng = np.random.default_rng(spec.seed)
+    num_items = spec.n_clusters * spec.items_per_cluster
+    labels = np.repeat(np.arange(spec.n_clusters), spec.items_per_cluster)
+    local_rank = np.tile(np.arange(spec.items_per_cluster), spec.n_clusters)
+    popularity = spec.popularity_decay ** local_rank
+    users, items, stamps = [], [], []
+    for u in range(spec.users):
+        clusters = rng.choice(spec.n_clusters, size=spec.interests_per_user, replace=False)
+        used = np.zeros(num_items, dtype=bool)
+        for t in range(spec.seq_len):
+            if rng.random() < spec.noise_rate:
+                pool = np.flatnonzero(~used)
+                item = int(rng.choice(pool))
+            else:
+                c = int(clusters[rng.integers(len(clusters))])
+                in_cluster = (labels == c) & ~used
+                if not in_cluster.any():
+                    in_cluster = ~used
+                w = popularity * in_cluster
+                item = int(rng.choice(num_items, p=w / w.sum()))
+            used[item] = True
+            users.append(u)
+            items.append(item)
+            stamps.append(t)
+    log = InteractionLog(
+        user_ids=np.array(users, dtype=np.int64),
+        item_ids=np.array(items, dtype=np.int64),
+        timestamps=np.array(stamps, dtype=np.int64),
+        user_tokens=[f"u{u}" for u in range(spec.users)],
+        item_tokens=[f"i{i}" for i in range(num_items)],
+    )
+    return log, labels
+
+
+CATALOG_20K = dict(n_clusters=20, items_per_cluster=1000, seq_len=20)
+
+ORACLE_SPECS = [
+    dict(),
+    dict(CATALOG_20K, users=40, popularity_decay=0.5, noise_rate=0.3),
+    dict(CATALOG_20K, users=40, popularity_decay=0.99),
+    dict(popularity_decay=1.0, noise_rate=0.0, users=100),
+    dict(n_clusters=3, items_per_cluster=10, interests_per_user=3, users=60,
+         seq_len=15, noise_rate=0.2),
+    dict(n_clusters=1, items_per_cluster=30, interests_per_user=1, users=60,
+         seq_len=12, noise_rate=0.2),
+    # one cluster of 5 per user and 8 positions: each user exhausts it
+    dict(n_clusters=3, items_per_cluster=5, interests_per_user=1, users=40,
+         seq_len=8, noise_rate=0.1),
+    dict(n_clusters=2, items_per_cluster=10, users=40, seq_len=20, noise_rate=0.3),
+]
+
+
+@pytest.mark.parametrize("kwargs", ORACLE_SPECS)
+def test_synthetic_equal_to_reference(kwargs):
+    for seed in (0, 1, 7):
+        spec = d.SyntheticSpec(**dict(kwargs, seed=seed))
+        want, want_labels = generate_synthetic_reference(spec)
+        got, labels = d.generate_synthetic(spec)
+        np.testing.assert_array_equal(got.user_ids, want.user_ids)
+        np.testing.assert_array_equal(got.item_ids, want.item_ids)
+        np.testing.assert_array_equal(got.timestamps, want.timestamps)
+        assert got.user_tokens == want.user_tokens
+        assert got.item_tokens == want.item_tokens
+        np.testing.assert_array_equal(labels, want_labels)
+
+
+def test_exhausted_cluster_falls_back_to_the_whole_catalog():
+    spec = d.SyntheticSpec(**dict(ORACLE_SPECS[6], noise_rate=0.0, seed=0))
+    log, labels = d.generate_synthetic(spec)
+    own = labels[log.item_ids[0]]
+    first_user = labels[log.item_ids[log.user_ids == 0]]
+    assert np.all(first_user[:5] == own)
+    assert np.all(first_user[5:] != own)
+
+
+def test_synth_cli_bytes_equal_to_reference(tmp_path, monkeypatch):
+    # the benchmark's 20k-item catalog flags at 40 users
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert main(["synth", "--out", "got", "--clusters", "20", "--items-per-cluster",
+                 "1000", "--seq-len", "20", "--decay", "0.5", "--noise", "0.3",
+                 "--users", "40", "--seed", "3"]) == 0
+    spec = d.SyntheticSpec(**dict(CATALOG_20K, users=40, popularity_decay=0.5,
+                                  noise_rate=0.3, seed=3))
+    log, labels = generate_synthetic_reference(spec)
+    d.write_interactions(log, str(tmp_path / "interactions.tsv"))
+    d.write_labels(labels, log.item_tokens, str(tmp_path / "labels.tsv"))
+    for name in ("interactions.tsv", "labels.tsv"):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / name).read_bytes()
