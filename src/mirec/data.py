@@ -219,14 +219,18 @@ def generate_synthetic(spec):
     Timestamps are the position index, so generation order is chronological.
 
     Cluster c holds the contiguous ids [c*items_per_cluster,
-    (c+1)*items_per_cluster), so a cluster draw reads only that block: the
-    zero weights before it add exactly to the catalog-wide cdf, and the cdf
-    after it is flat at 1. A noise draw walks only the user's taken ids.
-    Each draw makes the RNG calls that Generator.choice makes over the whole
-    catalog (one random() searched in the normalised cdf for a weighted
-    pick, one integers() for a uniform one among the unused ids) and lands
-    on the same item, so a seed gives the same log as a whole-catalog
-    sampler would.
+    (c+1)*items_per_cluster), so a cluster draw writes weights only into that
+    block and builds the cdf over the block alone: the zero weights before it
+    add exactly to the catalog-wide cdf, and the cdf after it is flat at 1.
+    An exhausted cluster's draw takes the whole catalog as its block. The
+    normaliser is still the pairwise sum over the whole catalog-long weight
+    buffer (O(num_items), but one C reduction), so it matches
+    Generator.choice bit for bit. A noise draw walks only the user's taken
+    ids. Each draw makes the RNG calls that Generator.choice makes over the
+    whole catalog (one random() searched in the normalised cdf for a
+    weighted pick, one integers() for a uniform one among the unused ids)
+    and lands on the same item, so a seed gives the same log as a
+    whole-catalog sampler would.
 
     Returns (InteractionLog, labels) where labels[i] is item i's cluster.
     """
@@ -253,21 +257,19 @@ def generate_synthetic(spec):
                     item += 1
             else:
                 lo = int(clusters[rng.integers(len(clusters))]) * ipc
-                free = ~used[lo:lo + ipc]
-                if free.any():
-                    block = weights[lo:lo + ipc]
-                    block[:] = popularity[lo:lo + ipc] * free
-                    # the whole-catalog sum, not block.sum(): pairwise
-                    # summation groups terms by position, so the block's own
-                    # sum can differ in the last bit
-                    total = weights.sum()
-                    cdf = (block / total).cumsum()
-                    block[:] = 0.0
-                    cdf /= cdf[-1]
-                    item = lo + int(cdf.searchsorted(rng.random(), side="right"))
-                else:
-                    w = popularity * ~used
-                    item = int(rng.choice(num_items, p=w / w.sum()))
+                hi = lo + ipc
+                if used[lo:hi].all():  # cluster exhausted: draw from the catalog
+                    lo, hi = 0, num_items
+                block = weights[lo:hi]
+                block[:] = popularity[lo:hi] * ~used[lo:hi]
+                # the whole-catalog sum, not block.sum(): pairwise summation
+                # groups terms by position, so the block's own sum can differ
+                # in the last bit
+                total = weights.sum()
+                cdf = (block / total).cumsum()
+                block[:] = 0.0
+                cdf /= cdf[-1]
+                item = lo + int(cdf.searchsorted(rng.random(), side="right"))
             used[item] = True
             bisect.insort(taken, item)
             users.append(u)

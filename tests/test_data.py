@@ -342,7 +342,7 @@ ORACLE_SPECS = [
 
 @pytest.mark.parametrize("kwargs", ORACLE_SPECS)
 def test_synthetic_equal_to_reference(kwargs):
-    for seed in (0, 1, 7):
+    for seed in (0, 1, 3, 7):
         spec = d.SyntheticSpec(**dict(kwargs, seed=seed))
         want, want_labels = generate_synthetic_reference(spec)
         got, labels = d.generate_synthetic(spec)
@@ -364,14 +364,13 @@ def test_exhausted_cluster_falls_back_to_the_whole_catalog():
 
 
 def test_synth_cli_bytes_equal_to_reference(tmp_path, monkeypatch):
-    # the benchmark's 20k-item catalog flags at 40 users
+    # the exhausted-cluster spec, through the CLI and its writers
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    assert main(["synth", "--out", "got", "--clusters", "20", "--items-per-cluster",
-                 "1000", "--seq-len", "20", "--decay", "0.5", "--noise", "0.3",
-                 "--users", "40", "--seed", "3"]) == 0
-    spec = d.SyntheticSpec(**dict(CATALOG_20K, users=40, popularity_decay=0.5,
-                                  noise_rate=0.3, seed=3))
-    log, labels = generate_synthetic_reference(spec)
+    assert main(["synth", "--out", "got", "--clusters", "3", "--items-per-cluster", "5",
+                 "--interests", "1", "--users", "40", "--seq-len", "8",
+                 "--noise", "0.1", "--seed", "3"]) == 0
+    log, labels = generate_synthetic_reference(
+        d.SyntheticSpec(**dict(ORACLE_SPECS[6], seed=3)))
     d.write_interactions(log, str(tmp_path / "interactions.tsv"))
     d.write_labels(labels, log.item_tokens, str(tmp_path / "labels.tsv"))
     for name in ("interactions.tsv", "labels.tsv"):
