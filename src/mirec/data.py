@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
 
 @dataclass
 class InteractionLog:
@@ -92,33 +94,40 @@ def ingest(path, fmt=None):
     users, items, stamps = [], [], []
     seen = set()
     with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f, delimiter=delim), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 columns, got {len(row)}")
-            user_tok, item_tok, ts_tok = row[0].strip(), row[1].strip(), row[2].strip()
-            if not user_tok or not item_tok:
-                raise ValueError(f"{path}: line {lineno}: empty user or item token")
-            try:
-                ts = int(ts_tok)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: timestamp {ts_tok!r} is not an integer"
-                ) from None
-            triple = (user_tok, item_tok, ts)
-            if triple in seen:
-                continue
-            seen.add(triple)
-            if user_tok not in user_index:
-                user_index[user_tok] = len(user_tokens)
-                user_tokens.append(user_tok)
-            if item_tok not in item_index:
-                item_index[item_tok] = len(item_tokens)
-                item_tokens.append(item_tok)
-            users.append(user_index[user_tok])
-            items.append(item_index[item_tok])
-            stamps.append(ts)
+        reader = csv.reader(f, delimiter=delim)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 3:
+                    raise ValueError(f"{path}: line {lineno}: expected 3 columns, got {len(row)}")
+                user_tok, item_tok, ts_tok = row[0].strip(), row[1].strip(), row[2].strip()
+                if not user_tok or not item_tok:
+                    raise ValueError(f"{path}: line {lineno}: empty user or item token")
+                try:
+                    ts = int(ts_tok)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: timestamp {ts_tok!r} is not an integer"
+                    ) from None
+                if not _INT64_MIN <= ts <= _INT64_MAX:
+                    raise ValueError(
+                        f"{path}: line {lineno}: timestamp {ts_tok!r} is outside int64")
+                triple = (user_tok, item_tok, ts)
+                if triple in seen:
+                    continue
+                seen.add(triple)
+                if user_tok not in user_index:
+                    user_index[user_tok] = len(user_tokens)
+                    user_tokens.append(user_tok)
+                if item_tok not in item_index:
+                    item_index[item_tok] = len(item_tokens)
+                    item_tokens.append(item_tok)
+                users.append(user_index[user_tok])
+                items.append(item_index[item_tok])
+                stamps.append(ts)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not users:
         raise ValueError(f"{path}: no interactions found")
     return InteractionLog(

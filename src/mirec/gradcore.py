@@ -69,6 +69,7 @@ class Tape:
 
     Gradient accumulators of every tensor touched by the tape are reset at
     the start of each backward call, so a tape can be replayed repeatedly.
+    Gradients are the tape's own arrays, so callers must not write into them.
     Single-threaded by design; use one tape per worker.
     """
 
@@ -87,12 +88,9 @@ class Tape:
     def backward(self, loss):
         if loss.value.ndim != 0:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
-        seen = set()
         for out, parents, _ in self.entries:
             for t in (out,) + parents:
-                if id(t) not in seen:
-                    seen.add(id(t))
-                    t.grad = None
+                t.grad = None
         loss.grad = np.ones((), dtype=np.float64)
         # a VJP may hand one array to two parents (add) or return a read-only
         # view (tsum, reshape, swapaxes), so gradients are never written to
@@ -102,20 +100,6 @@ class Tape:
             for t, g in zip(parents, vjp(out.grad)):
                 if g is not None:
                     t.grad = g if t.grad is None else t.grad + g
-        # callers scale leaf gradients in place (clip_global_norm): give each
-        # leaf a writable float64 array that no other tensor holds
-        done = {id(out) for out, _, _ in self.entries}
-        claimed = {id(out.grad) for out, _, _ in self.entries}
-        for _, parents, _ in self.entries:
-            for t in parents:
-                if id(t) in done or t.grad is None:
-                    continue
-                done.add(id(t))
-                g = t.grad
-                if (id(g) in claimed or g.base is not None or not g.flags.writeable
-                        or g.dtype != np.float64):
-                    g = t.grad = np.array(g, dtype=np.float64)
-                claimed.add(id(g))
 
 
 def _wrap(x):

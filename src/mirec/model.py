@@ -7,6 +7,7 @@ evaluation and diagnostics all run this one batched path; it is taped while
 training and plain numpy otherwise.
 """
 
+import math
 import struct
 from dataclasses import dataclass, fields
 
@@ -199,7 +200,7 @@ def load_checkpoint(path):
     offset = head_size
     tensors = {}
     for name, shape in tensor_shapes(num_items, d, d_h, d_b, n_x, n_z).items():
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(data):
             raise ValueError(f"checkpoint truncated in tensor {name}")

@@ -98,13 +98,12 @@ def adam_step(params, grads, state):
 
 
 def clip_global_norm(grads, max_norm):
-    """Scale all gradients in place so the global L2 norm is <= max_norm."""
+    """(grads, global L2 norm); grads are new arrays scaled to max_norm if above it."""
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if total > max_norm > 0.0:
         scale = max_norm / total
-        for g in grads:
-            g *= scale
-    return total
+        grads = [g * scale for g in grads]
+    return grads, total
 
 
 def build_examples(sequences):
@@ -149,7 +148,7 @@ def train_epoch(examples, params, hp, state, config, rng):
             t.grad if t.grad is not None else np.zeros_like(t.value)
             for t in params.tensors()
         ]
-        clip_global_norm(grads, config.clip_norm)
+        grads, _ = clip_global_norm(grads, config.clip_norm)
         adam_step(params, grads, state)
         for k in sums:
             sums[k] += getattr(bundle, k) * len(idx)

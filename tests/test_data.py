@@ -56,6 +56,25 @@ def test_ingest_bad_timestamp_reports_line_number(tmp_path):
         d.ingest(str(path))
 
 
+MALFORMED_ROWS = {
+    "timestamp-above-int64": (f"u\tj\t{2**63}", "int64"),
+    "timestamp-below-int64": (f"u\tj\t{-2**63 - 1}", "int64"),
+    "field-over-csv-limit": ("u\t" + "j" * 131073 + "\t6", "field limit"),
+}
+
+
+@pytest.mark.parametrize("row,what", list(MALFORMED_ROWS.values()), ids=list(MALFORMED_ROWS))
+def test_ingest_and_train_name_the_line_of_a_malformed_row(tmp_path, monkeypatch, capsys,
+                                                           row, what):
+    path = tmp_path / "bad.tsv"
+    path.write_text("u\ti\t5\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"bad.tsv: line 2: .*{what}"):
+        d.ingest(str(path))
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert main(["train", "--set", f"dataset={path}", "--set", "output_dir=r"]) == 1
+    assert "bad.tsv: line 2" in capsys.readouterr().err
+
+
 def test_ingest_empty_file_is_error(tmp_path):
     path = tmp_path / "log.tsv"
     path.write_text("")

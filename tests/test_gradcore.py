@@ -121,36 +121,6 @@ def test_backward_is_bit_deterministic():
     assert grads[0] == grads[1]
 
 
-def test_add_gives_each_parent_its_own_gradient():
-    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
-    w = np.arange(6.0).reshape(2, 3)
-    with Tape() as tape:
-        loss = gc.tsum(gc.add(a, b) * w)
-    tape.backward(loss)
-    a.grad *= 2.0
-    np.testing.assert_array_equal(b.grad, w)
-    np.testing.assert_array_equal(a.grad, 2.0 * w)
-
-
-@pytest.mark.parametrize("route", ["swapaxes", "reshape", "tsum"])
-def test_leaf_gradient_is_owned_and_writable(route):
-    x = Tensor(np.arange(6.0).reshape(2, 3))
-    with Tape() as tape:
-        if route == "swapaxes":
-            loss = gc.tsum(gc.swapaxes(x, 0, 1) * np.ones((3, 2)))
-        elif route == "reshape":
-            loss = gc.tsum(gc.reshape(x, (3, 2)) * np.ones((3, 2)))
-        else:
-            loss = gc.tsum(x)  # gradient arrives as a broadcast of the scalar seed
-    tape.backward(loss)
-    g = x.grad
-    assert g.dtype == np.float64 and g.shape == (2, 3)
-    assert g.flags.writeable and g.flags.owndata
-    g *= 3.0
-    np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
-    assert loss.grad == 1.0
-
-
 @pytest.mark.parametrize("op", [gc.mul, gc.div])
 def test_plain_array_operand_leaves_tensor_gradients_unchanged(op):
     rng = np.random.default_rng(4)

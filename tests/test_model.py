@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,14 @@ def test_checkpoint_rejects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 16])
     with pytest.raises(ValueError, match="truncated|trailing"):
+        m.load_checkpoint(str(path))
+
+
+def test_checkpoint_with_oversized_dims_reports_truncation(tmp_path):
+    path = tmp_path / "huge.ckpt"
+    dims = (2**32 - 1, 2**32 - 1, 1, 1, 1, 1)
+    path.write_bytes(struct.pack("<8s7I", m.CHECKPOINT_MAGIC, m.CHECKPOINT_VERSION, *dims))
+    with pytest.raises(ValueError, match="checkpoint truncated in tensor item_emb"):
         m.load_checkpoint(str(path))
 
 

@@ -91,18 +91,20 @@ def test_quadratic_descent_monotone_all_50_steps_at_small_lr():
 
 def test_clip_noop_below_threshold():
     g = [np.array([3.0]), np.array([4.0])]
-    norm = tr.clip_global_norm(g, max_norm=6.0)
+    out, norm = tr.clip_global_norm(g, max_norm=6.0)
     assert norm == pytest.approx(5.0)
+    assert out is g
     assert g[0][0] == 3.0 and g[1][0] == 4.0
 
 
 def test_clip_scales_to_max_norm():
     g = [np.array([30.0]), np.array([40.0])]
-    norm = tr.clip_global_norm(g, max_norm=5.0)
+    out, norm = tr.clip_global_norm(g, max_norm=5.0)
     assert norm == pytest.approx(50.0)
-    after = np.sqrt(g[0][0] ** 2 + g[1][0] ** 2)
+    after = np.sqrt(out[0][0] ** 2 + out[1][0] ** 2)
     assert after == pytest.approx(5.0)
-    assert g[0][0] / g[1][0] == pytest.approx(3.0 / 4.0)
+    assert out[0][0] / out[1][0] == pytest.approx(3.0 / 4.0)
+    assert g[0][0] == 30.0 and g[1][0] == 40.0  # the input arrays are left as they were
 
 
 def test_build_examples_sliding_prefixes():
@@ -175,6 +177,81 @@ def test_train_epoch_deterministic():
     assert outs[0][0] == outs[1][0]
     for a, b in zip(outs[0][1], outs[1][1]):
         assert np.array_equal(a, b)
+
+
+def clipping_setup(seed=6):
+    """A tiny regularized model whose every step clips (clip_norm far below
+    any gradient norm), with its examples, config and optimizer state."""
+    sp, num_items = tiny_split(seed)
+    hp = tiny_hp(lambda_cl=0.1, lambda_att=0.5, lambda_ct=0.1)
+    exs, _ = tr.build_examples(sp.train)
+    cfg = tr.TrainConfig(epochs=1, batch_size=32, clip_norm=1e-3)
+    params = ModelParams.init(num_items, hp, np.random.default_rng(2))
+    state = tr.OptimState.init(params, cfg.lr, cfg.weight_decay)
+    return exs, params, hp, state, cfg
+
+
+def test_clip_and_adam_leave_backward_gradients_unchanged(monkeypatch):
+    exs, params, hp, state, cfg = clipping_setup()
+    produced, norms = [], []
+    backward, clip, adam = gc.Tape.backward, tr.clip_global_norm, tr.adam_step
+
+    def recording_backward(tape, loss):
+        backward(tape, loss)
+        produced.clear()
+        for out, parents, _ in tape.entries:
+            for t in (out,) + parents:
+                if t.grad is not None:
+                    produced.append((t.grad, t.grad.tobytes()))
+
+    def recording_clip(grads, max_norm):
+        grads, norm = clip(grads, max_norm)
+        norms.append(norm)
+        return grads, norm
+
+    def checked_adam(p, grads, st):
+        adam(p, grads, st)
+        assert produced
+        for g, before in produced:
+            assert g.tobytes() == before
+
+    monkeypatch.setattr(gc.Tape, "backward", recording_backward)
+    monkeypatch.setattr(tr, "clip_global_norm", recording_clip)
+    monkeypatch.setattr(tr, "adam_step", checked_adam)
+    tr.train_epoch(exs, params, hp, state, cfg, np.random.default_rng(5))
+    assert len(norms) == -(-len(exs) // cfg.batch_size)
+    assert all(n > cfg.clip_norm for n in norms)
+
+
+def test_clipped_steps_match_scaling_copies_in_place():
+    """train_epoch equals, bit for bit, a loop that copies each leaf gradient
+    and scales the copies in place."""
+    exs, params, hp, state, cfg = clipping_setup()
+    tr.train_epoch(exs, params, hp, state, cfg, np.random.default_rng(5))
+
+    exs, ref, hp, ref_state, cfg = clipping_setup()
+    rng = np.random.default_rng(5)
+    order = rng.permutation(len(exs))
+    steps = range(0, len(order), cfg.batch_size)
+    clipped = 0
+    for start in steps:
+        ids, mask, targets = tr._assemble_batch(
+            exs, order[start : start + cfg.batch_size], hp.max_seq_len)
+        with gc.Tape() as tape:
+            total, _ = tr.compute_batch_losses(ids, mask, targets, ref, hp, rng)
+        tape.backward(total)
+        grads = [np.zeros_like(t.value) if t.grad is None
+                 else np.array(t.grad, dtype=np.float64) for t in ref.tensors()]
+        norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+        if norm > cfg.clip_norm:
+            clipped += 1
+            scale = cfg.clip_norm / norm
+            for g in grads:
+                g *= scale
+        tr.adam_step(ref, grads, ref_state)
+    assert clipped == len(steps) > 1
+    for (name, got), want in zip(params.named(), ref.tensors()):
+        assert got.value.tobytes() == want.value.tobytes(), name
 
 
 def test_train_writes_bit_identical_checkpoints(tmp_path):
