@@ -7,6 +7,7 @@ to its outputs, so any run can be reproduced from that file alone.
 """
 
 import hashlib
+import math
 from dataclasses import fields, make_dataclass
 from typing import Literal, get_args, get_origin
 
@@ -30,15 +31,22 @@ def _as_opt_int(s):
     return int(s)
 
 
+def _as_finite(s):
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return v
+
+
 def _as_threshold(s):
     s = str(s).strip()
     if s == "adaptive":
         return s
-    return float(s)
+    return _as_finite(s)
 
 
 # value parser per declared field type; a Literal type takes one of its values
-_PARSERS = {int: int, float: float, str: str, bool: _as_bool,
+_PARSERS = {int: int, float: _as_finite, str: str, bool: _as_bool,
             int | None: _as_opt_int, float | str: _as_threshold}
 
 

@@ -82,6 +82,23 @@ def _delimiter_for(path, fmt):
     return "\t" if fmt == "tsv" else ","
 
 
+def _undecodable_line(path):
+    """1-based number of the first line of path that is not valid UTF-8.
+
+    The decoder reports a position within its read chunk, so the error path
+    re-reads the file. Lines split where the csv reader's do: at LF, CR and
+    CRLF, none of which can occur inside a multi-byte UTF-8 sequence.
+    """
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return len(lines)
+
+
 def ingest(path, fmt=None):
     """Parse a user/item/timestamp log file into an InteractionLog.
 
@@ -93,7 +110,7 @@ def ingest(path, fmt=None):
     user_tokens, item_tokens = [], []
     users, items, stamps = [], [], []
     seen = set()
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f, delimiter=delim)
         try:
             for lineno, row in enumerate(reader, start=1):
@@ -128,6 +145,10 @@ def ingest(path, fmt=None):
                 stamps.append(ts)
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: line {_undecodable_line(path)}: not UTF-8 ({exc.reason})"
+            ) from None
     if not users:
         raise ValueError(f"{path}: no interactions found")
     return InteractionLog(
@@ -306,7 +327,7 @@ def write_labels(labels, item_tokens, path):
 def read_labels(path):
     """Token -> cluster dict from a write_labels file."""
     mapping = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for line in f:
             tok, c = line.rstrip("\n").split("\t")
             mapping[tok] = int(c)

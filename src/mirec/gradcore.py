@@ -3,9 +3,11 @@
 Every differentiable kernel used by the model and losses is a function of
 Tensor arguments. While a Tape is active, each call records the op together
 with a closure that maps the output gradient to input gradients; backward()
-replays the records in exact reverse order. With no active tape the same
-functions are plain numpy evaluation, which is what inference and the
-finite-difference probes use.
+replays the records in exact reverse order and releases each intermediate
+gradient once its closure has consumed it, so afterwards only the leaves and
+the root hold a gradient. With no active tape the same functions are plain
+numpy evaluation, which is what inference and the finite-difference probes
+use.
 """
 
 import numpy as np
@@ -69,7 +71,9 @@ class Tape:
 
     Gradient accumulators of every tensor touched by the tape are reset at
     the start of each backward call, so a tape can be replayed repeatedly.
-    Gradients are the tape's own arrays, so callers must not write into them.
+    The replay drops each intermediate gradient as soon as its VJP has run,
+    so after backward only the leaves and the root hold a gradient. Gradients
+    are the tape's own arrays, so callers must not write into them.
     Single-threaded by design; use one tape per worker.
     """
 
@@ -95,9 +99,14 @@ class Tape:
         # a VJP may hand one array to two parents (add) or return a read-only
         # view (tsum, reshape, swapaxes), so gradients are never written to
         for out, parents, vjp in reversed(self.entries):
-            if out.grad is None:
+            g_out = out.grad
+            if g_out is None:
                 continue
-            for t, g in zip(parents, vjp(out.grad)):
+            # nothing after this VJP reads out.grad, so g_out is its last
+            # reference and it is freed once the VJP has run; the root's stays
+            if out is not loss:
+                out.grad = None
+            for t, g in zip(parents, vjp(g_out)):
                 if g is not None:
                     t.grad = g if t.grad is None else t.grad + g
 

@@ -138,6 +138,16 @@ def test_cutoffs_not_a_positive_int_list_rejected_by_key():
             cm.resolve({"cutoffs": bad})
 
 
+def test_non_finite_float_rejected_by_key():
+    assert cm.default_config(["clip_norm=0.0"]).clip_norm == 0.0
+    for key in ("lr", "weight_decay", "train_ratio", "lambda_cl", "temperature",
+                "clip_norm", "pos_threshold"):
+        for bad in ("nan", "inf", "-inf", "1e400"):
+            with pytest.raises(ValueError,
+                               match=f"config key '{key}': expected a finite number"):
+                cm.default_config([f"{key}={bad}"])
+
+
 def test_optional_int_and_threshold_casting():
     cfg = cm.default_config(["num_seq_negatives=none", "pos_threshold=adaptive"])
     assert cfg.num_seq_negatives is None

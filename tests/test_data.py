@@ -49,6 +49,15 @@ def test_ingest_malformed_line_reports_line_number(tmp_path):
         d.ingest(str(path))
 
 
+def test_ingest_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "log.tsv"
+    # line 1 holds a valid two-byte character and ends \r\n, line 2 ends \r
+    path.write_bytes(b"u\ti\xc3\xa9\t1\r\nu\tj\t2\ru\tk\xff\t3\nu\tl\t4\n")
+    with pytest.raises(ValueError, match=f"{path}: line 3: not UTF-8") as info:
+        d.ingest(str(path))
+    assert not isinstance(info.value, UnicodeDecodeError)
+
+
 def test_ingest_bad_timestamp_reports_line_number(tmp_path):
     path = tmp_path / "log.tsv"
     path.write_text("u\ti\tsoon\n")
@@ -262,6 +271,12 @@ def test_labels_round_trip(tmp_path):
     assert len(mapping) == len(labels)
     for tok, cluster in mapping.items():
         assert labels[log.item_tokens.index(tok)] == cluster
+
+
+def test_labels_round_trip_non_ascii_tokens(tmp_path):
+    path = tmp_path / "labels.tsv"
+    d.write_labels(np.array([0, 1]), ["caf\u00e9", "\u00fc\u00df"], str(path))
+    assert d.read_labels(str(path)) == {"caf\u00e9": 0, "\u00fc\u00df": 1}
 
 
 def test_write_atomic_streams_str_chunks(tmp_path):

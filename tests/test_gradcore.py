@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,68 @@ def test_backward_is_bit_deterministic():
         tape.backward(loss)
         grads.append((a.grad.tobytes(), b.grad.tobytes()))
     assert grads[0] == grads[1]
+
+
+def _replay_keeping_every_gradient(tape, loss):
+    """Tape.backward's replay without the release: every gradient stays."""
+    for out, parents, _ in tape.entries:
+        for t in (out,) + parents:
+            t.grad = None
+    loss.grad = np.ones((), dtype=np.float64)
+    for out, parents, vjp in reversed(tape.entries):
+        if out.grad is None:
+            continue
+        for t, g in zip(parents, vjp(out.grad)):
+            if g is not None:
+                t.grad = g if t.grad is None else t.grad + g
+
+
+def _mixed_graph(leaves):
+    """A scalar loss over shared subexpressions, views, gathers and masks."""
+    a, b, e = leaves
+    h = gc.tanh(a @ b)
+    mask = np.arange(15).reshape(5, 3) % 4 != 0
+    rows = gc.gather_rows(e, np.array([[0, 2], [2, 1], [0, 0]]))
+    mixed = gc.concat([gc.swapaxes(h, 0, 1), gc.reshape(rows, (3, 4))], axis=1)
+    loss = gc.tsum(gc.softmax(h, axis=-1) * h + h * h)
+    loss = loss + gc.tsum(gc.masked_logsumexp(h, mask)) - gc.tsum(gc.softplus(mixed))
+    return loss + gc.tsum(gc.sqrt(mixed * mixed + 1.0) / (1.0 + gc.stop_grad(mixed)))
+
+
+def test_backward_leaves_gradients_only_on_leaves_and_root():
+    rng = np.random.default_rng(13)
+    # e >= 0 and |tanh| < 1 keep the divisor 1 + mixed positive
+    values = [rng.normal(size=(5, 4)), rng.normal(size=(4, 3)),
+              np.abs(rng.normal(size=(3, 2)))]
+    kept = [Tensor(v.copy()) for v in values]
+    with Tape() as tape:
+        loss = _mixed_graph(kept)
+    _replay_keeping_every_gradient(tape, loss)
+    released = [Tensor(v.copy()) for v in values]
+    with Tape() as tape:
+        loss = _mixed_graph(released)
+    tape.backward(loss)
+    for out, _, _ in tape.entries:
+        assert out.grad is None or out is loss
+    assert loss.grad == 1.0
+    for ref, got in zip(kept, released):
+        assert ref.grad.tobytes() == got.grad.tobytes()
+
+
+def test_backward_peak_memory_stays_near_one_gradient():
+    x = Tensor(np.random.default_rng(14).normal(size=(256, 256)) * 0.1)
+    with Tape() as tape:
+        y = x
+        for _ in range(40):
+            y = gc.tanh(y)
+        loss = gc.tsum(y)
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * x.value.nbytes, f"backward peak {peak / x.value.nbytes:.1f}x one array"
 
 
 @pytest.mark.parametrize("op", [gc.mul, gc.div])

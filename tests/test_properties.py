@@ -1,14 +1,18 @@
-"""Property tests of the two loaders: whatever bytes they are given, they
-return a result or raise ValueError, never another exception; the checkpoint
-loader's ValueError is one of its own, naming the checkpoint."""
+"""Property tests of the two loaders and the config resolver: whatever bytes
+they are given, the loaders return a result or raise ValueError, never another
+exception, and each ValueError names the file it read; whatever overrides it is
+given, the resolver returns finite float settings or raises ValueError."""
 
+import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mirec import config as cm
 from mirec import data as d
 from mirec import model as m
 
@@ -27,6 +31,25 @@ STAMP = INT64_EDGES.map(str) | st.text(max_size=4)
 ROW = st.tuples(TOKEN | LONG_FIELD, TOKEN, STAMP).map("\t".join)
 LOG_BYTES = st.binary(max_size=256) | st.lists(ROW, min_size=1, max_size=4).map(
     lambda rows: "\n".join(rows).encode("utf-8"))
+
+
+def _splice(blob, at, insert):
+    at %= len(blob) + 1
+    return blob[:at] + insert + blob[at:]
+
+
+# logs with bytes spliced in that are not UTF-8 on their own: a lone
+# continuation byte, a truncated lead byte, an encoded surrogate, or 0xff
+BAD_UTF8 = st.sampled_from([b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff"])
+NON_UTF8_LOG_BYTES = st.builds(_splice, LOG_BYTES, st.integers(min_value=0), BAD_UTF8)
+
+# `key=value` overrides over every config key, with values that are numbers,
+# non-finite spellings, or any short text
+CONFIG_KEY = st.sampled_from([f.name for f in fields(cm.RunConfig)])
+CONFIG_VALUE = (st.floats().map(repr) | st.integers().map(str)
+                | st.sampled_from(["nan", "-NaN", "inf", "-inf", "Infinity", "1e400"])
+                | st.text(max_size=8))
+OVERRIDES = st.lists(st.tuples(CONFIG_KEY, CONFIG_VALUE).map("=".join), max_size=4)
 
 # checkpoint headers with the right magic and version, or none; dims are small
 # enough to load or big enough that a product of two passes 2**63
@@ -47,6 +70,30 @@ def test_ingest_loads_or_raises_value_error(tmp_path, blob):
     except ValueError:
         return
     assert len(log) > 0
+
+
+@PROPERTY
+@given(LOG_BYTES | NON_UTF8_LOG_BYTES)
+def test_every_ingest_error_names_the_path(tmp_path, blob):
+    path = tmp_path / "log.tsv"
+    path.write_bytes(blob)
+    try:
+        d.ingest(str(path))
+    except ValueError as exc:
+        assert str(path) in str(exc)
+
+
+@PROPERTY
+@given(OVERRIDES)
+def test_resolved_config_floats_are_finite(overrides):
+    try:
+        config = cm.default_config(overrides)
+    except ValueError:
+        return
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float):
+            assert math.isfinite(value), f"{f.name} = {value!r}"
 
 
 @PROPERTY
