@@ -74,12 +74,8 @@ class SyntheticSpec:
             raise ValueError("seq_len larger than the item catalog")
 
 
-def _delimiter_for(path, fmt):
-    if fmt is None:
-        fmt = "csv" if str(path).endswith(".csv") else "tsv"
-    if fmt not in ("tsv", "csv"):
-        raise ValueError(f"unsupported format {fmt!r}, expected tsv or csv")
-    return "\t" if fmt == "tsv" else ","
+def _delimiter_for(path):
+    return "," if str(path).endswith(".csv") else "\t"
 
 
 def _undecodable_line(path):
@@ -99,13 +95,15 @@ def _undecodable_line(path):
     return len(lines)
 
 
-def ingest(path, fmt=None):
+def ingest(path):
     """Parse a user/item/timestamp log file into an InteractionLog.
 
-    Exact duplicate triples are dropped (first occurrence wins); tokens get
-    dense indices in first-appearance order.
+    A `.csv` path is comma-separated, any other path tab-separated.
+    Timestamps are ASCII integers with an optional sign. Exact duplicate
+    triples are dropped (first occurrence wins); tokens get dense indices in
+    first-appearance order.
     """
-    delim = _delimiter_for(path, fmt)
+    delim = _delimiter_for(path)
     user_index, item_index = {}, {}
     user_tokens, item_tokens = [], []
     users, items, stamps = [], [], []
@@ -122,6 +120,9 @@ def ingest(path, fmt=None):
                 if not user_tok or not item_tok:
                     raise ValueError(f"{path}: line {lineno}: empty user or item token")
                 try:
+                    # int() also takes `1_000` and non-ASCII digits; refuse both
+                    if not ts_tok.isascii() or "_" in ts_tok:
+                        raise ValueError
                     ts = int(ts_tok)
                 except ValueError:
                     raise ValueError(
@@ -160,10 +161,10 @@ def ingest(path, fmt=None):
     )
 
 
-def write_interactions(log, path, fmt=None):
+def write_interactions(log, path):
     """Write a log back to disk in token form; ingest() of the result round-trips."""
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=_delimiter_for(path, fmt), lineterminator="\n")
+    writer = csv.writer(buf, delimiter=_delimiter_for(path), lineterminator="\n")
     writer.writerows([log.user_tokens[u], log.item_tokens[i], int(t)]
                      for u, i, t in zip(log.user_ids, log.item_ids, log.timestamps))
     write_atomic(path, buf.getvalue())
@@ -322,13 +323,3 @@ def write_labels(labels, item_tokens, path):
     indices by first appearance.
     """
     write_atomic(path, (f"{tok}\t{int(c)}\n" for tok, c in zip(item_tokens, labels)))
-
-
-def read_labels(path):
-    """Token -> cluster dict from a write_labels file."""
-    mapping = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            tok, c = line.rstrip("\n").split("\t")
-            mapping[tok] = int(c)
-    return mapping

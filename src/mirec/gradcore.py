@@ -2,12 +2,12 @@
 
 Every differentiable kernel used by the model and losses is a function of
 Tensor arguments. While a Tape is active, each call records the op together
-with a closure that maps the output gradient to input gradients; backward()
-replays the records in exact reverse order and releases each intermediate
-gradient once its closure has consumed it, so afterwards only the leaves and
-the root hold a gradient. With no active tape the same functions are plain
-numpy evaluation, which is what inference and the finite-difference probes
-use.
+with a closure that maps the output gradient to input gradients;
+backward(loss, wrt) replays the records in exact reverse order, releases each
+intermediate gradient once its closure has consumed it, and returns the
+gradients of the leaf tensors in wrt. Tensors hold no gradient. With no
+active tape the same functions are plain numpy evaluation, which is what
+inference and the finite-difference probes use.
 """
 
 import numpy as np
@@ -16,13 +16,12 @@ _TAPES = []
 
 
 class Tensor:
-    """A float64 array plus a gradient accumulator."""
+    """A float64 array."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("value",)
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
 
     @property
     def shape(self):
@@ -69,11 +68,13 @@ class Tensor:
 class Tape:
     """Ordered record of ops; backward() visits them in reverse.
 
-    Gradient accumulators of every tensor touched by the tape are reset at
-    the start of each backward call, so a tape can be replayed repeatedly.
-    The replay drops each intermediate gradient as soon as its VJP has run,
-    so after backward only the leaves and the root hold a gradient. Gradients
-    are the tape's own arrays, so callers must not write into them.
+    backward(loss, wrt) keeps its gradients in a dict local to the call, so
+    a tape can be replayed any number of times. The replay drops each
+    intermediate gradient as soon as its VJP has run. It returns one array
+    per tensor of wrt, in order, and zeros where the loss does not reach a
+    tensor. wrt holds leaves (parameters or inputs), not op outputs. The
+    returned arrays may be shared or read-only views of the tape's own
+    arrays, so callers must not write into them.
     Single-threaded by design; use one tape per worker.
     """
 
@@ -89,26 +90,23 @@ class Tape:
         assert popped is self
         return False
 
-    def backward(self, loss):
+    def backward(self, loss, wrt):
         if loss.value.ndim != 0:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
-        for out, parents, _ in self.entries:
-            for t in (out,) + parents:
-                t.grad = None
-        loss.grad = np.ones((), dtype=np.float64)
+        grads = {id(loss): np.ones((), dtype=np.float64)}
         # a VJP may hand one array to two parents (add) or return a read-only
         # view (tsum, reshape, swapaxes), so gradients are never written to
         for out, parents, vjp in reversed(self.entries):
-            g_out = out.grad
+            # nothing after this VJP reads out's gradient, so popping it leaves
+            # g_out as its last reference, freed once the VJP has run
+            g_out = grads.pop(id(out), None)
             if g_out is None:
                 continue
-            # nothing after this VJP reads out.grad, so g_out is its last
-            # reference and it is freed once the VJP has run; the root's stays
-            if out is not loss:
-                out.grad = None
             for t, g in zip(parents, vjp(g_out)):
                 if g is not None:
-                    t.grad = g if t.grad is None else t.grad + g
+                    old = grads.get(id(t))
+                    grads[id(t)] = g if old is None else old + g
+        return [grads[id(t)] if id(t) in grads else np.zeros_like(t.value) for t in wrt]
 
 
 def _wrap(x):
@@ -409,10 +407,7 @@ def check_gradient(f, params, h=1e-4, max_coords=None, rng=None):
     params = list(params)
     with Tape() as tape:
         loss = f(params)
-    tape.backward(loss)
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.value) for p in params
-    ]
+    analytic = tape.backward(loss, params)
     if max_coords is not None and rng is None:
         rng = np.random.default_rng(0)
     worst = 0.0

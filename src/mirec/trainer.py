@@ -143,11 +143,7 @@ def train_epoch(examples, params, hp, state, config, rng):
         tape = gc.Tape()
         with tape:
             total, bundle = compute_batch_losses(ids, mask, targets, params, hp, rng)
-        tape.backward(total)
-        grads = [
-            t.grad if t.grad is not None else np.zeros_like(t.value)
-            for t in params.tensors()
-        ]
+        grads = tape.backward(total, params.tensors())
         grads, _ = clip_global_norm(grads, config.clip_norm)
         adam_step(params, grads, state)
         for k in sums:
@@ -214,7 +210,6 @@ def train(split_data, params, hp, config, log=None):
     if best_values is not None:
         for tensor, value in zip(params.tensors(), best_values):
             tensor.value = value.copy()
-            tensor.grad = None
     if config.checkpoint_path:
         save_checkpoint(params, config.checkpoint_path)
     if config.log_path:

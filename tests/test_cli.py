@@ -3,7 +3,7 @@ import struct
 import pytest
 
 from mirec.cli import OUTPUT_ROOT_ENV, main
-from mirec.data import ingest, read_labels
+from mirec.data import ingest
 from mirec.model import CHECKPOINT_VERSION
 
 
@@ -16,6 +16,12 @@ TINY = [
 
 def run(argv):
     return main(argv)
+
+
+def read_labels(path):
+    """Token -> cluster dict from a labels.tsv file at a pathlib path."""
+    rows = (line.split("\t") for line in path.read_text(encoding="utf-8").splitlines())
+    return {tok: int(c) for tok, c in rows}
 
 
 def synth_args(out, seed=3):
@@ -38,7 +44,7 @@ def test_full_pipeline(tmp_path, monkeypatch, capsys):
     data = tmp_path / "data" / "interactions.tsv"
     assert data.exists()
     assert (tmp_path / "data" / "synth.cfg").exists()
-    labels = read_labels(str(tmp_path / "data" / "labels.tsv"))
+    labels = read_labels(tmp_path / "data" / "labels.tsv")
     log = ingest(str(data))
     assert set(log.item_tokens) <= set(labels)
 

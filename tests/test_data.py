@@ -10,6 +10,12 @@ def write_log(path, rows, delim="\t"):
     return str(path)
 
 
+def read_labels(path):
+    """Token -> cluster dict from a labels.tsv file at a pathlib path."""
+    rows = (line.split("\t") for line in path.read_text(encoding="utf-8").splitlines())
+    return {tok: int(c) for tok, c in rows}
+
+
 def test_ingest_small_tsv(tmp_path):
     path = write_log(tmp_path / "log.tsv",
                      [("alice", "apple", 10), ("bob", "pear", 11), ("alice", "pear", 12)])
@@ -65,9 +71,17 @@ def test_ingest_bad_timestamp_reports_line_number(tmp_path):
         d.ingest(str(path))
 
 
+def test_ingest_takes_signed_timestamps(tmp_path):
+    path = write_log(tmp_path / "log.tsv", [("u", "i", "+5"), ("u", "j", "-5")])
+    np.testing.assert_array_equal(d.ingest(path).timestamps, [5, -5])
+
+
 MALFORMED_ROWS = {
     "timestamp-above-int64": (f"u\tj\t{2**63}", "int64"),
     "timestamp-below-int64": (f"u\tj\t{-2**63 - 1}", "int64"),
+    # int() takes both of these, but timestamps are ASCII integers
+    "timestamp-with-underscore": ("u\tj\t1_000", "'1_000' is not an integer"),
+    "timestamp-non-ascii-digits": ("u\tj\t\u0661\u0662", "'\u0661\u0662' is not an integer"),
     "field-over-csv-limit": ("u\t" + "j" * 131073 + "\t6", "field limit"),
 }
 
@@ -76,7 +90,7 @@ MALFORMED_ROWS = {
 def test_ingest_and_train_name_the_line_of_a_malformed_row(tmp_path, monkeypatch, capsys,
                                                            row, what):
     path = tmp_path / "bad.tsv"
-    path.write_text("u\ti\t5\n" + row + "\n")
+    path.write_text("u\ti\t5\n" + row + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"bad.tsv: line 2: .*{what}"):
         d.ingest(str(path))
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
@@ -267,7 +281,7 @@ def test_labels_round_trip(tmp_path):
     log, labels = d.generate_synthetic(d.SyntheticSpec(users=5, seed=0))
     path = tmp_path / "labels.tsv"
     d.write_labels(labels, log.item_tokens, str(path))
-    mapping = d.read_labels(str(path))
+    mapping = read_labels(path)
     assert len(mapping) == len(labels)
     for tok, cluster in mapping.items():
         assert labels[log.item_tokens.index(tok)] == cluster
@@ -276,7 +290,7 @@ def test_labels_round_trip(tmp_path):
 def test_labels_round_trip_non_ascii_tokens(tmp_path):
     path = tmp_path / "labels.tsv"
     d.write_labels(np.array([0, 1]), ["caf\u00e9", "\u00fc\u00df"], str(path))
-    assert d.read_labels(str(path)) == {"caf\u00e9": 0, "\u00fc\u00df": 1}
+    assert read_labels(path) == {"caf\u00e9": 0, "\u00fc\u00df": 1}
 
 
 def test_write_atomic_streams_str_chunks(tmp_path):

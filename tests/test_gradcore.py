@@ -52,9 +52,9 @@ def test_masked_softmax_fully_masked_row_is_zero():
         loss = gc.tsum(out * np.arange(6.0).reshape(2, 3))
     np.testing.assert_allclose(out.value[1], 0.0)
     np.testing.assert_allclose(out.value[0], [0.5, 0.5, 0.0])
-    tape.backward(loss)
-    assert np.all(np.isfinite(x.grad))
-    np.testing.assert_allclose(x.grad[1], 0.0)
+    (grad,) = tape.backward(loss, [x])
+    assert np.all(np.isfinite(grad))
+    np.testing.assert_allclose(grad[1], 0.0)
 
 
 def test_masked_logsumexp_empty_row_is_neg_inf_with_zero_grad():
@@ -65,9 +65,9 @@ def test_masked_logsumexp_empty_row_is_neg_inf_with_zero_grad():
         loss = gc.tsum(gc.softplus(out))
     assert out.value[1] == -np.inf
     np.testing.assert_allclose(out.value[0], np.log(2.0) + 1.0)
-    tape.backward(loss)
-    assert np.all(np.isfinite(x.grad))
-    np.testing.assert_allclose(x.grad[1], 0.0)
+    (grad,) = tape.backward(loss, [x])
+    assert np.all(np.isfinite(grad))
+    np.testing.assert_allclose(grad[1], 0.0)
 
 
 def test_logaddexp_with_neg_inf_argument():
@@ -77,17 +77,17 @@ def test_logaddexp_with_neg_inf_argument():
         out = gc.logaddexp(a, b)
         loss = gc.tsum(out)
     np.testing.assert_allclose(out.value, 1.5)
-    tape.backward(loss)
-    np.testing.assert_allclose(a.grad, 0.0)
-    np.testing.assert_allclose(b.grad, 1.0)
+    grad_a, grad_b = tape.backward(loss, [a, b])
+    np.testing.assert_allclose(grad_a, 0.0)
+    np.testing.assert_allclose(grad_b, 1.0)
 
 
 def test_stop_grad_blocks_flow():
     x = Tensor(np.array([1.0, -2.0, 3.0]))
     with Tape() as tape:
         loss = gc.tsum(gc.stop_grad(x) * x)
-    tape.backward(loss)
-    np.testing.assert_allclose(x.grad, x.value)
+    (grad,) = tape.backward(loss, [x])
+    np.testing.assert_allclose(grad, x.value)
 
 
 def test_backward_requires_scalar():
@@ -95,17 +95,17 @@ def test_backward_requires_scalar():
     with Tape() as tape:
         y = x * 2.0
     with pytest.raises(ValueError, match="scalar"):
-        tape.backward(y)
+        tape.backward(y, [x])
 
 
-def test_backward_resets_accumulators():
+def test_backward_twice_on_one_tape_returns_bit_equal_lists():
     x = Tensor(np.array([1.0, 2.0]))
+    y = Tensor(np.array([3.0, -1.0]))
     with Tape() as tape:
-        loss = gc.tsum(x * x)
-    tape.backward(loss)
-    first = x.grad.copy()
-    tape.backward(loss)
-    np.testing.assert_array_equal(x.grad, first)
+        loss = gc.tsum(x * x * y)
+    first = [g.tobytes() for g in tape.backward(loss, [x, y])]
+    second = [g.tobytes() for g in tape.backward(loss, [x, y])]
+    assert first == second
 
 
 def test_backward_is_bit_deterministic():
@@ -118,23 +118,21 @@ def test_backward_is_bit_deterministic():
         with Tape() as tape:
             h = gc.tanh(a @ b)
             loss = gc.tsum(gc.softmax(h, axis=-1) * h + h * h)
-        tape.backward(loss)
-        grads.append((a.grad.tobytes(), b.grad.tobytes()))
+        grads.append([g.tobytes() for g in tape.backward(loss, [a, b])])
     assert grads[0] == grads[1]
 
 
 def _replay_keeping_every_gradient(tape, loss):
-    """Tape.backward's replay without the release: every gradient stays."""
-    for out, parents, _ in tape.entries:
-        for t in (out,) + parents:
-            t.grad = None
-    loss.grad = np.ones((), dtype=np.float64)
+    """Tape.backward's replay without the release: a dict from each tensor's
+    id to its gradient, where every gradient stays."""
+    grads = {id(loss): np.ones((), dtype=np.float64)}
     for out, parents, vjp in reversed(tape.entries):
-        if out.grad is None:
+        if id(out) not in grads:
             continue
-        for t, g in zip(parents, vjp(out.grad)):
+        for t, g in zip(parents, vjp(grads[id(out)])):
             if g is not None:
-                t.grad = g if t.grad is None else t.grad + g
+                grads[id(t)] = g if id(t) not in grads else grads[id(t)] + g
+    return grads
 
 
 def _mixed_graph(leaves):
@@ -149,7 +147,7 @@ def _mixed_graph(leaves):
     return loss + gc.tsum(gc.sqrt(mixed * mixed + 1.0) / (1.0 + gc.stop_grad(mixed)))
 
 
-def test_backward_leaves_gradients_only_on_leaves_and_root():
+def test_backward_equals_a_replay_that_keeps_every_gradient():
     rng = np.random.default_rng(13)
     # e >= 0 and |tanh| < 1 keep the divisor 1 + mixed positive
     values = [rng.normal(size=(5, 4)), rng.normal(size=(4, 3)),
@@ -157,16 +155,14 @@ def test_backward_leaves_gradients_only_on_leaves_and_root():
     kept = [Tensor(v.copy()) for v in values]
     with Tape() as tape:
         loss = _mixed_graph(kept)
-    _replay_keeping_every_gradient(tape, loss)
+    every = _replay_keeping_every_gradient(tape, loss)
     released = [Tensor(v.copy()) for v in values]
     with Tape() as tape:
         loss = _mixed_graph(released)
-    tape.backward(loss)
-    for out, _, _ in tape.entries:
-        assert out.grad is None or out is loss
-    assert loss.grad == 1.0
-    for ref, got in zip(kept, released):
-        assert ref.grad.tobytes() == got.grad.tobytes()
+    got = tape.backward(loss, released)
+    assert len(got) == len(released)
+    for ref, g in zip(kept, got):
+        assert every[id(ref)].tobytes() == g.tobytes()
 
 
 def test_backward_peak_memory_stays_near_one_gradient():
@@ -178,7 +174,7 @@ def test_backward_peak_memory_stays_near_one_gradient():
         loss = gc.tsum(y)
     tracemalloc.start()
     try:
-        tape.backward(loss)
+        tape.backward(loss, [x])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,8 +192,7 @@ def test_plain_array_operand_leaves_tensor_gradients_unchanged(op):
         x = Tensor(x_val.copy())
         with Tape() as tape:
             loss = gc.tsum(op(x, const) * w)
-        tape.backward(loss)
-        grads.append(x.grad)
+        grads += tape.backward(loss, [x])
     np.testing.assert_array_equal(grads[0], grads[1])
 
 
@@ -208,10 +203,10 @@ def test_gather_rows_gradient_equals_add_at():
     g = rng.normal(size=idx.shape + (5,))
     with Tape() as tape:
         loss = gc.tsum(gc.gather_rows(a, idx) * g)
-    tape.backward(loss)
+    (grad,) = tape.backward(loss, [a])
     ref = np.zeros((7, 5))
     np.add.at(ref, idx, g)
-    assert a.grad.tobytes() == ref.tobytes()
+    assert grad.tobytes() == ref.tobytes()
 
 
 def test_take_per_row_gradient_equals_add_at():
@@ -222,12 +217,12 @@ def test_take_per_row_gradient_equals_add_at():
     with Tape() as tape:
         loss = gc.tsum(gc.take_per_row(a, idx) * g)
         loss = loss + gc.tsum(gc.take_per_row(a, np.zeros(50, dtype=np.int64)) * g)
-    tape.backward(loss)
+    (grad,) = tape.backward(loss, [a])
     rows = np.arange(50)
     first, second = np.zeros(a.shape), np.zeros(a.shape)
     np.add.at(first, (rows, idx), g)
     np.add.at(second, (rows, np.zeros(50, dtype=np.int64)), g)
-    assert a.grad.tobytes() == (second + first).tobytes()
+    assert grad.tobytes() == (second + first).tobytes()
 
 
 def test_forward_without_tape_matches_taped_forward():

@@ -394,9 +394,7 @@ def recon_loss_and_grads(fn, params, interests, x, pos):
     leaves = [interests, x] + [getattr(params, n) for n in RECON_TENSORS]
     with gc.Tape() as tape:
         loss = fn(interests, x, pos, params)
-    tape.backward(loss)
-    grads = [np.zeros_like(t.value) if t.grad is None else t.grad.copy() for t in leaves]
-    return float(loss.value), grads
+    return float(loss.value), tape.backward(loss, leaves)
 
 
 def test_reconstruct_matches_dense_decoder_with_empty_positive_sets():
@@ -490,13 +488,13 @@ def test_rec_gradient_only_reaches_selected_interest():
     neg = Tensor(rng.normal(size=(1, 5, 4)))
     with gc.Tape() as tape:
         loss = ls.rec_batch(interests, target, neg)
-    tape.backward(loss)
+    (grad,) = tape.backward(loss, [interests])
     sel = ls.select_interest_batch(interests.value, target.value)[0]
     for k in range(3):
         if k == sel:
-            assert np.any(interests.grad[0, k] != 0.0)
+            assert np.any(grad[0, k] != 0.0)
         else:
-            np.testing.assert_array_equal(interests.grad[0, k], 0.0)
+            np.testing.assert_array_equal(grad[0, k], 0.0)
 
 
 # ----------------------------------------------------------------- combine
@@ -628,9 +626,27 @@ def test_compute_batch_losses_without_or_with_default_seq_negatives(num_seq_nega
     targets = rng.integers(0, 30, size=3)
     with gc.Tape() as tape:
         total, bundle = ls.compute_batch_losses(ids, mask, targets, params, hp, rng)
-    tape.backward(total)
+    (grad,) = tape.backward(total, [params.att_query])
     assert np.isfinite(bundle.contrast) and bundle.contrast >= 0.0
-    assert np.isfinite(params.att_query.grad).all()
+    assert np.isfinite(grad).all()
+
+
+def test_backward_returns_zeros_for_parameters_the_loss_does_not_reach():
+    # lambda_ct = 0 leaves the re-construct decoder out of the loss
+    hp = tiny_hp(lambda_cl=0.1, lambda_att=0.5, lambda_ct=0.0, num_rec_negatives=6)
+    rng = np.random.default_rng(3)
+    params = m.ModelParams.init(30, hp, rng)
+    ids = rng.integers(0, 30, size=(3, hp.max_seq_len))
+    mask = np.ones((3, hp.max_seq_len), bool)
+    targets = rng.integers(0, 30, size=3)
+    with gc.Tape() as tape:
+        total, _ = ls.compute_batch_losses(ids, mask, targets, params, hp, rng)
+    named = params.named()
+    grads = tape.backward(total, [t for _, t in named])
+    assert len(grads) == len(named)
+    for (name, t), g in zip(named, grads):
+        assert g.dtype == np.float64 and g.shape == t.value.shape, name
+        assert g.any() == (name not in RECON_TENSORS), name
 
 
 def test_compute_batch_losses_skips_inactive_components():

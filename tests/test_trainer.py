@@ -196,13 +196,10 @@ def test_clip_and_adam_leave_backward_gradients_unchanged(monkeypatch):
     produced, norms = [], []
     backward, clip, adam = gc.Tape.backward, tr.clip_global_norm, tr.adam_step
 
-    def recording_backward(tape, loss):
-        backward(tape, loss)
-        produced.clear()
-        for out, parents, _ in tape.entries:
-            for t in (out,) + parents:
-                if t.grad is not None:
-                    produced.append((t.grad, t.grad.tobytes()))
+    def recording_backward(tape, loss, wrt):
+        grads = backward(tape, loss, wrt)
+        produced[:] = [(g, g.tobytes()) for g in grads]
+        return grads
 
     def recording_clip(grads, max_norm):
         grads, norm = clip(grads, max_norm)
@@ -239,9 +236,8 @@ def test_clipped_steps_match_scaling_copies_in_place():
             exs, order[start : start + cfg.batch_size], hp.max_seq_len)
         with gc.Tape() as tape:
             total, _ = tr.compute_batch_losses(ids, mask, targets, ref, hp, rng)
-        tape.backward(total)
-        grads = [np.zeros_like(t.value) if t.grad is None
-                 else np.array(t.grad, dtype=np.float64) for t in ref.tensors()]
+        grads = [np.array(g, dtype=np.float64)
+                 for g in tape.backward(total, ref.tensors())]
         norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
         if norm > cfg.clip_norm:
             clipped += 1
