@@ -78,7 +78,6 @@ def _load_trained_run(args):
 def cmd_train(args):
     cfg = _load_cfg(args)
     run = _run_dir(cfg)
-    write_atomic(os.path.join(run, "resolved_train.cfg"), cfg_mod.render(cfg))
     log, sp = _load_dataset(cfg)
     hp = cfg.hyperparams()
     params = ModelParams.init(len(log.item_tokens), hp,
@@ -87,8 +86,11 @@ def cmd_train(args):
         checkpoint_path=os.path.join(run, "checkpoint.bin"),
         log_path=os.path.join(run, "train.log"),
     )
-    write_split_manifest(sp, os.path.join(run, "split.txt"))
     result = train(sp, params, hp, tc, log=print)
+    # written only once training has succeeded, so a failed run leaves the
+    # previous run's files together
+    write_split_manifest(sp, os.path.join(run, "split.txt"))
+    write_atomic(os.path.join(run, "resolved_train.cfg"), cfg_mod.render(cfg))
     print(f"checkpoint written to {tc.checkpoint_path} "
           f"(best epoch {result.best_epoch}, "
           f"examples {result.num_examples}, "

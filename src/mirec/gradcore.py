@@ -1,7 +1,9 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Every differentiable kernel used by the model and losses is a function of
-Tensor arguments. While a Tape is active, each call records the op together
+Tensor arguments. Only add, sub, mul and div also take a plain array or
+number as an operand (a mask, guard or constant); such an operand gets no
+gradient. While a Tape is active, each call records the op together
 with a closure that maps the output gradient to input gradients;
 backward(loss, wrt) replays the records in exact reverse order, releases each
 intermediate gradient once its closure has consumed it, and returns the
@@ -23,17 +25,6 @@ class Tensor:
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape})"
-
     def __add__(self, other):
         return add(self, other)
 
@@ -43,20 +34,11 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __neg__(self):
         return neg(self)
@@ -109,10 +91,6 @@ class Tape:
         return [grads[id(t)] if id(t) in grads else np.zeros_like(t.value) for t in wrt]
 
 
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _record(out, parents, vjp):
     if _TAPES:
         _TAPES[-1].entries.append((out, parents, vjp))
@@ -129,51 +107,37 @@ def _unbroadcast(g, shape):
     return g
 
 
-# In add, sub, mul and div an operand passed as a plain array or number (a
-# mask, guard or constant) gets no gradient, so its VJP term is skipped.
+def _binary(a, b, value, grad_a, grad_b):
+    """value(a, b) elementwise; grad_a(g, av, bv) and grad_b(g, av, bv) are the
+    operands' VJPs before summing back to their shapes. An operand passed as a
+    plain array or number (a mask, guard or constant) gets no gradient."""
+    da, db = isinstance(a, Tensor), isinstance(b, Tensor)
+    a, b = a if da else Tensor(a), b if db else Tensor(b)
+    av, bv = a.value, b.value
+    out = Tensor(value(av, bv))
+    return _record(out, (a, b), lambda g: (
+        _unbroadcast(grad_a(g, av, bv), av.shape) if da else None,
+        _unbroadcast(grad_b(g, av, bv), bv.shape) if db else None))
 
 
 def add(a, b):
-    da, db = isinstance(a, Tensor), isinstance(b, Tensor)
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value + b.value)
-    ash, bsh = a.value.shape, b.value.shape
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, ash) if da else None,
-                                           _unbroadcast(g, bsh) if db else None))
+    return _binary(a, b, np.add, lambda g, av, bv: g, lambda g, av, bv: g)
 
 
 def sub(a, b):
-    da, db = isinstance(a, Tensor), isinstance(b, Tensor)
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value - b.value)
-    ash, bsh = a.value.shape, b.value.shape
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, ash) if da else None,
-                                           _unbroadcast(-g, bsh) if db else None))
+    return _binary(a, b, np.subtract, lambda g, av, bv: g, lambda g, av, bv: -g)
 
 
 def mul(a, b):
-    da, db = isinstance(a, Tensor), isinstance(b, Tensor)
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value * b.value)
-    av, bv = a.value, b.value
-    return _record(out, (a, b), lambda g: (_unbroadcast(g * bv, av.shape) if da else None,
-                                           _unbroadcast(g * av, bv.shape) if db else None))
+    return _binary(a, b, np.multiply, lambda g, av, bv: g * bv, lambda g, av, bv: g * av)
 
 
 def div(a, b):
-    da, db = isinstance(a, Tensor), isinstance(b, Tensor)
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value / b.value)
-    av, bv = a.value, b.value
-    return _record(
-        out, (a, b),
-        lambda g: (_unbroadcast(g / bv, av.shape) if da else None,
-                   _unbroadcast(-g * av / (bv * bv), bv.shape) if db else None),
-    )
+    return _binary(a, b, np.true_divide, lambda g, av, bv: g / bv,
+                   lambda g, av, bv: -g * av / (bv * bv))
 
 
 def neg(a):
-    a = _wrap(a)
     out = Tensor(-a.value)
     return _record(out, (a,), lambda g: (-g,))
 
@@ -186,7 +150,6 @@ def matmul(a, b):
     gradient is one (k, n) x (n, m) product instead of a batched one summed
     afterwards.
     """
-    a, b = _wrap(a), _wrap(b)
     av, bv = a.value, b.value
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError(f"matmul needs ndim >= 2 operands, got {av.shape} and {bv.shape}")
@@ -210,21 +173,18 @@ def matmul(a, b):
 
 
 def tanh(a):
-    a = _wrap(a)
     out = Tensor(np.tanh(a.value))
     ov = out.value
     return _record(out, (a,), lambda g: (g * (1.0 - ov * ov),))
 
 
 def sqrt(a):
-    a = _wrap(a)
     out = Tensor(np.sqrt(a.value))
     ov = out.value
     return _record(out, (a,), lambda g: (g / (2.0 * ov),))
 
 
 def tsum(a, axis=None, keepdims=False):
-    a = _wrap(a)
     out = Tensor(a.value.sum(axis=axis, keepdims=keepdims))
     ash = a.value.shape
 
@@ -239,20 +199,18 @@ def tsum(a, axis=None, keepdims=False):
 
 
 def reshape(a, shape):
-    a = _wrap(a)
     out = Tensor(a.value.reshape(shape))
     ash = a.value.shape
     return _record(out, (a,), lambda g: (g.reshape(ash),))
 
 
 def swapaxes(a, ax1, ax2):
-    a = _wrap(a)
     out = Tensor(a.value.swapaxes(ax1, ax2))
     return _record(out, (a,), lambda g: (g.swapaxes(ax1, ax2),))
 
 
 def concat(tensors, axis=0):
-    tensors = tuple(_wrap(t) for t in tensors)
+    tensors = tuple(tensors)
     out = Tensor(np.concatenate([t.value for t in tensors], axis=axis))
     sizes = [t.value.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -273,7 +231,6 @@ def _scatter_rows(rows, g, shape):
 
 def gather_rows(a, idx):
     """a[idx] for a non-negative integer index array; rows scatter-add on backward."""
-    a = _wrap(a)
     idx = np.asarray(idx)
     out = Tensor(a.value[idx])
     ash = a.value.shape
@@ -282,7 +239,6 @@ def gather_rows(a, idx):
 
 def take_per_row(a, idx):
     """out[b] = a[b, idx[b]]; works for a of ndim >= 2."""
-    a = _wrap(a)
     idx = np.asarray(idx)
     ash = a.value.shape
     rows = np.arange(ash[0])
@@ -294,13 +250,11 @@ def take_per_row(a, idx):
 
 def stop_grad(a):
     """Value passes through; gradient does not."""
-    a = _wrap(a)
     return Tensor(a.value.copy())
 
 
 def softmax(a, axis=-1):
     """Stable softmax (max subtraction) along one axis."""
-    a = _wrap(a)
     if a.value.shape[axis] == 0:
         raise ValueError(f"softmax over an empty axis: shape {a.value.shape}, axis {axis}")
     return masked_softmax(a, True, axis=axis)
@@ -308,7 +262,6 @@ def softmax(a, axis=-1):
 
 def masked_softmax(a, mask, axis=-1):
     """Softmax over positions where mask is true; fully masked rows come out all-zero."""
-    a = _wrap(a)
     mask = np.asarray(mask, dtype=bool)
     logits = np.where(mask, a.value, -np.inf)
     mx = logits.max(axis=axis, keepdims=True, initial=-np.inf)
@@ -328,9 +281,18 @@ def logsumexp(a, axis=None, keepdims=False):
     return masked_logsumexp(a, True, axis=axis, keepdims=keepdims)
 
 
+def _finite_exp(x, out):
+    """exp(x - out), and 0 where that difference is not finite."""
+    with np.errstate(invalid="ignore"):
+        diff = x - out
+    w = np.zeros_like(diff)
+    fin = np.isfinite(diff)
+    w[fin] = np.exp(diff[fin])
+    return w
+
+
 def masked_logsumexp(a, mask, axis=-1, keepdims=False):
     """log Σ exp over unmasked positions; fully masked rows come out -inf with zero gradient."""
-    a = _wrap(a)
     mask = np.asarray(mask, dtype=bool)
     if axis is None:
         axis = tuple(range(a.value.ndim))
@@ -345,19 +307,13 @@ def masked_logsumexp(a, mask, axis=-1, keepdims=False):
 
     def vjp(g):
         gk = g if keepdims else np.expand_dims(g, axis)
-        with np.errstate(invalid="ignore"):
-            diff = logits - ov_keep
-        w = np.zeros_like(diff)
-        fin = np.isfinite(diff)
-        w[fin] = np.exp(diff[fin])
-        return (gk * w,)
+        return (gk * _finite_exp(logits, ov_keep),)
 
     return _record(out, (a,), vjp)
 
 
 def softplus(a):
     """log(1 + exp(x)), overflow-safe."""
-    a = _wrap(a)
     out = Tensor(np.logaddexp(0.0, a.value))
     av = a.value
 
@@ -374,20 +330,12 @@ def softplus(a):
 
 def logaddexp(a, b):
     """Elementwise log(exp(a) + exp(b)); tolerates -inf in either argument."""
-    a, b = _wrap(a), _wrap(b)
     out = Tensor(np.logaddexp(a.value, b.value))
     av, bv, ov = a.value, b.value, out.value
 
-    def _weight(x):
-        with np.errstate(invalid="ignore"):
-            diff = x - ov
-        w = np.zeros(np.broadcast(x, ov).shape, dtype=np.float64)
-        fin = np.isfinite(diff)
-        w[fin] = np.exp(np.broadcast_to(diff, w.shape)[fin])
-        return w
-
     def vjp(g):
-        return (_unbroadcast(g * _weight(av), av.shape), _unbroadcast(g * _weight(bv), bv.shape))
+        return (_unbroadcast(g * _finite_exp(av, ov), av.shape),
+                _unbroadcast(g * _finite_exp(bv, ov), bv.shape))
 
     return _record(out, (a, b), vjp)
 
@@ -396,29 +344,22 @@ class GradientCheckError(RuntimeError):
     """Raised when a finite-difference probe produces a non-finite loss."""
 
 
-def check_gradient(f, params, h=1e-4, max_coords=None, rng=None):
+def check_gradient(f, params, h=1e-4):
     """Compare tape gradients of f(params) against central finite differences.
 
     f takes the parameter list and returns a scalar Tensor; it is re-run from
-    scratch at every probe. Returns the max over checked coordinates of
-    |analytic - fd| / max(1, |analytic|). With max_coords set, that many
-    coordinates per parameter are sampled using rng instead of sweeping all.
+    scratch at every probe. Returns the max over all coordinates of
+    |analytic - fd| / max(1, |analytic|).
     """
     params = list(params)
     with Tape() as tape:
         loss = f(params)
     analytic = tape.backward(loss, params)
-    if max_coords is not None and rng is None:
-        rng = np.random.default_rng(0)
     worst = 0.0
     for pi, p in enumerate(params):
         flat = p.value.reshape(-1)
         an_flat = analytic[pi].reshape(-1)
-        if max_coords is None or flat.size <= max_coords:
-            coords = range(flat.size)
-        else:
-            coords = rng.choice(flat.size, size=max_coords, replace=False)
-        for ci in coords:
+        for ci in range(flat.size):
             orig = flat[ci]
             # probes may transiently leave the op domains; that is detected below,
             # so keep numpy quiet while evaluating them

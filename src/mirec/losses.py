@@ -88,28 +88,25 @@ def sample_out_of_seq_batch(item_ids, mask, num_items, num_interests, sizes, rng
     return np.where(sample_mask, draw, 0), sample_mask
 
 
-def _l2_normalize(t):
+def _l2_normalize(t, what, where=None, index=None):
     """Row-normalize the last axis on the tape.
 
-    Rows with exactly zero norm come out zero (padded rows); callers must
-    have already rejected zero-norm rows that actually participate.
+    A zero-norm row is refused, naming `what` and its index, unless it is
+    masked out: index maps reported positions to rows, and where marks the
+    positions that take part. Masked-out zero rows (padding) come out zero.
     """
     sq = gc.tsum(t * t, axis=-1, keepdims=True)
-    guard = (sq.value == 0.0).astype(np.float64)
-    norm = gc.sqrt(gc.add(sq, guard))
-    return t / norm
-
-
-def _check_nonzero_norms(values, what, where=None, index=None):
-    """Reject zero-norm rows of values; index maps reported positions to rows."""
-    zero = np.linalg.norm(values, axis=-1) == 0.0
+    zero = sq.value == 0.0
+    refused = zero[..., 0]
     if index is not None:
-        zero = zero[index]
+        refused = refused[index]
     if where is not None:
-        zero = zero & where
-    if zero.any():
-        idx = tuple(int(v) for v in np.argwhere(zero)[0])
+        refused = refused & where
+    if refused.any():
+        idx = tuple(int(v) for v in np.argwhere(refused)[0])
         raise ValueError(f"zero-norm vector before normalization: {what} at index {idx}")
+    norm = gc.sqrt(gc.add(sq, zero.astype(np.float64)))
+    return t / norm
 
 
 def recontrast_batch(interests, x_emb, pos_mask, neg_mask, sampled_emb, sampled_mask,
@@ -125,11 +122,9 @@ def recontrast_batch(interests, x_emb, pos_mask, neg_mask, sampled_emb, sampled_
     """
     b, n_z, n_x = pos_mask.shape
     valid = pos_mask | neg_mask
-    _check_nonzero_norms(interests.value, "interest (example, interest)")
-    _check_nonzero_norms(x_emb.value, "sequence item (example, position)",
-                         where=valid.any(axis=1))
-    z_bar = _l2_normalize(interests)  # (B, n_z, d)
-    x_bar = _l2_normalize(x_emb)  # (B, n_x, d)
+    z_bar = _l2_normalize(interests, "interest (example, interest)")  # (B, n_z, d)
+    x_bar = _l2_normalize(x_emb, "sequence item (example, position)",
+                          where=valid.any(axis=1))  # (B, n_x, d)
     sims = gc.matmul(z_bar, gc.swapaxes(x_bar, 1, 2)) / temperature  # (B, n_z, n_x)
     inter = gc.matmul(z_bar, gc.swapaxes(z_bar, 1, 2)) / temperature  # (B, n_z, n_z)
     off_diag = np.broadcast_to(~np.eye(n_z, dtype=bool), (b, n_z, n_z))
@@ -138,9 +133,8 @@ def recontrast_batch(interests, x_emb, pos_mask, neg_mask, sampled_emb, sampled_
         gc.masked_logsumexp(inter, off_diag, axis=-1),
     )
     if sampled_emb is not None and sampled_mask.shape[2] > 0:
-        _check_nonzero_norms(sampled_emb.value, "sampled negative (example, interest, slot)",
-                             where=sampled_mask, index=sampled_idx)
-        n_bar = _l2_normalize(sampled_emb)
+        n_bar = _l2_normalize(sampled_emb, "sampled negative (example, interest, slot)",
+                              where=sampled_mask, index=sampled_idx)
         if sampled_idx is not None:
             n_bar = gc.gather_rows(n_bar, sampled_idx)  # (B, n_z, S, d)
         d = z_bar.value.shape[-1]

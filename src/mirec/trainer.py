@@ -131,21 +131,25 @@ def _assemble_batch(examples, idx, max_seq_len):
 
 
 def train_epoch(examples, params, hp, state, config, rng):
-    """One shuffled pass; returns example-weighted mean loss components."""
+    """One shuffled pass; returns example-weighted mean loss components.
+    A step's ValueError is re-raised as `step S: <message>`, S from 1."""
     if not examples:
         raise ValueError("no training examples")
     order = rng.permutation(len(examples))
     sums = {"total": 0.0, "rec": 0.0, "contrast": 0.0, "attend": 0.0,
             "reconstruct": 0.0}
-    for start in range(0, len(order), config.batch_size):
+    for step, start in enumerate(range(0, len(order), config.batch_size), 1):
         idx = order[start : start + config.batch_size]
         ids, mask, targets = _assemble_batch(examples, idx, hp.max_seq_len)
-        tape = gc.Tape()
-        with tape:
-            total, bundle = compute_batch_losses(ids, mask, targets, params, hp, rng)
-        grads = tape.backward(total, params.tensors())
-        grads, _ = clip_global_norm(grads, config.clip_norm)
-        adam_step(params, grads, state)
+        try:
+            tape = gc.Tape()
+            with tape:
+                total, bundle = compute_batch_losses(ids, mask, targets, params, hp, rng)
+            grads = tape.backward(total, params.tensors())
+            grads, _ = clip_global_norm(grads, config.clip_norm)
+            adam_step(params, grads, state)
+        except ValueError as exc:
+            raise ValueError(f"step {step}: {exc}") from exc
         for k in sums:
             sums[k] += getattr(bundle, k) * len(idx)
     n = len(order)
@@ -184,7 +188,10 @@ def train(split_data, params, hp, config, log=None):
     stopped = False
     for epoch in range(1, config.epochs + 1):
         t0 = time.monotonic()
-        stats = train_epoch(examples, params, hp, state, config, rng)
+        try:
+            stats = train_epoch(examples, params, hp, state, config, rng)
+        except ValueError as exc:
+            raise ValueError(f"epoch {epoch} {exc}") from exc
         seconds = time.monotonic() - t0
         entry = dict(stats, epoch=epoch, seconds=seconds)
         valid_recall = None

@@ -1,3 +1,5 @@
+import hashlib
+import re
 import struct
 
 import pytest
@@ -94,6 +96,29 @@ def test_synth_rejects_zero_users_by_name(tmp_path, monkeypatch, capsys):
     assert run(["synth", "--out", "s", "--users", "0"]) == 1
     assert "users" in capsys.readouterr().err
     assert not (tmp_path / "s" / "interactions.tsv").exists()
+
+
+@pytest.mark.parametrize("bad,message", [
+    (["lr=1e200", "weight_decay=0", "clip_norm=0"],
+     r"epoch 1 step \d+: non-finite loss component rec"),
+    (["embed_dim=0"], "embed_dim"),
+], ids=["non-finite-loss", "zero-embed-dim"])
+def test_failed_train_leaves_the_previous_run_intact(tmp_path, monkeypatch, capsys,
+                                                     bad, message):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert run(synth_args("data")) == 0
+    data = f"{tmp_path}/data/interactions.tsv"
+    assert run(["train"] + sets(data, "r")) == 0
+    names = ("checkpoint.bin", "train.log", "split.txt", "resolved_train.cfg")
+
+    def digests():
+        return [hashlib.sha256((tmp_path / "r" / n).read_bytes()).hexdigest() for n in names]
+
+    first = digests()
+    capsys.readouterr()
+    assert run(["train"] + sets(data, "r", bad)) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert digests() == first
 
 
 def test_missing_dataset_path_names_it(tmp_path, monkeypatch, capsys):

@@ -181,19 +181,29 @@ def test_backward_peak_memory_stays_near_one_gradient():
     assert peak < 5 * x.value.nbytes, f"backward peak {peak / x.value.nbytes:.1f}x one array"
 
 
-@pytest.mark.parametrize("op", [gc.mul, gc.div])
-def test_plain_array_operand_leaves_tensor_gradients_unchanged(op):
+BINARY = [("add", gc.add), ("sub", gc.sub), ("mul", gc.mul), ("div", gc.div)]
+
+
+@pytest.mark.parametrize(
+    "op,const_left",
+    [(op, False) for _, op in BINARY] + [(op, True) for _, op in BINARY],
+    ids=[n for n, _ in BINARY] + [f"{n}-left" for n, _ in BINARY],
+)
+def test_plain_array_operand_leaves_tensor_gradients_unchanged(op, const_left):
     rng = np.random.default_rng(4)
     x_val = rng.normal(size=(3, 4))
     c = 0.5 + np.abs(rng.normal(size=(4,)))
     w = rng.normal(size=(3, 4))
-    grads = []
+    grads, values = [], []
     for const in (c, Tensor(c)):
         x = Tensor(x_val.copy())
         with Tape() as tape:
-            loss = gc.tsum(op(x, const) * w)
+            y = op(const, x) if const_left else op(x, const)
+            loss = gc.tsum(y * w)
+        values.append(y.value)
         grads += tape.backward(loss, [x])
-    np.testing.assert_array_equal(grads[0], grads[1])
+    assert values[0].tobytes() == values[1].tobytes()
+    assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_gather_rows_gradient_equals_add_at():
@@ -219,7 +229,7 @@ def test_take_per_row_gradient_equals_add_at():
         loss = loss + gc.tsum(gc.take_per_row(a, np.zeros(50, dtype=np.int64)) * g)
     (grad,) = tape.backward(loss, [a])
     rows = np.arange(50)
-    first, second = np.zeros(a.shape), np.zeros(a.shape)
+    first, second = np.zeros(a.value.shape), np.zeros(a.value.shape)
     np.add.at(first, (rows, idx), g)
     np.add.at(second, (rows, np.zeros(50, dtype=np.int64)), g)
     assert grad.tobytes() == (second + first).tobytes()

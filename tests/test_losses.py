@@ -222,6 +222,20 @@ def test_recontrast_zero_norm_vector_is_error():
         recontrast([[0.0, 0.0]], [[1.0, 0.0]], [[True]], [[False]], None, 1.0)
 
 
+def test_recontrast_zero_norm_sequence_item_refused_only_where_valid():
+    rng = np.random.default_rng(6)
+    z = Tensor(rng.normal(size=(2, 2, 3)))
+    x = Tensor(rng.normal(size=(2, 4, 3)))
+    x.value[1, 2] = 0.0
+    pos = np.zeros((2, 2, 4), dtype=bool)
+    pos[:, :, 0] = True
+    neg = ~pos
+    with pytest.raises(ValueError, match=r"sequence item \(example, position\) at index \(1, 2\)"):
+        ls.recontrast_batch(z, x, pos, neg, None, None, 0.5)
+    neg[1, :, 2] = False  # position (1, 2) is padding
+    assert np.isfinite(ls.recontrast_batch(z, x, pos, neg, None, None, 0.5).value)
+
+
 def test_recontrast_sampled_rows_by_index_match_gathered_block():
     rng = np.random.default_rng(5)
     z, x = batch1(rng.normal(size=(2, 3)), rng.normal(size=(4, 3)))
