@@ -76,13 +76,25 @@ def _check_holdout_frac(v):
         raise ValueError(f"must be in (0, 1), got {v!r}")
 
 
+def _check_ratio(v):
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {v!r}")
+
+
+def _check_seed(v):
+    if v < 0:
+        raise ValueError(f"must be >= 0, got {v}")
+
+
 def _check_diag_k(v):
     if v is not None and v < 2:
         raise ValueError(f"must be none or >= 2, got {v}")
 
 
 # range checks of parsed values, by key; a failed check names its key in resolve
-_CHECKS = {"holdout_frac": _check_holdout_frac, "cutoffs": _cutoffs,
+_CHECKS = {"seed": _check_seed, "train_ratio": _check_ratio,
+           "valid_ratio": _check_ratio, "test_ratio": _check_ratio,
+           "holdout_frac": _check_holdout_frac, "cutoffs": _cutoffs,
            "diag_k": _check_diag_k}
 
 

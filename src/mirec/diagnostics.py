@@ -7,9 +7,9 @@ raise it is reverted and the loop stops, keeping the objective non-increasing.
 Empty clusters are reseeded until a reseed no longer moves a centroid.
 
 INTER: one global clustering over every selected user's interests plus their
-profile and holdout items; the score is the fraction of (interest, positive
-item) pairs sharing a cluster, where positives are the profile items whose
-attention weight clears the threshold. INTRA: one clustering per user with
+profile and holdout items; the score is the fraction of distinct (interest,
+positive item) pairs sharing a cluster, where positives are the profile items
+whose attention weight clears the threshold. INTRA: one clustering per user with
 k = the interest count; the score is the fraction of users whose interests
 land in pairwise-distinct clusters.
 """
@@ -42,6 +42,7 @@ class DiagnosticsReport:
     init_mode: str
     users: int
     skipped_interests: int
+    k_nonempty: int  # distinct labels in the global clustering
     # user id -> (num_interests, d) interest vectors the scores were computed from
     user_interests: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -146,40 +147,31 @@ def kmeans(vectors, k, seed=0, max_iter=100, init_centroids=None):
                              reseeded=reseeded)
 
 
-def inter_score(assignment, interest_items):
+def inter_score(labels, interest_rows, item_rows, num_interest_rows):
     """Fraction of (interest, positive item) pairs sharing a cluster.
 
-    interest_items maps an interest row index (into the clustered matrix) to
-    the row indices of its positive items. Interests with no positives are
+    labels holds the cluster label of each clustered row; pair j joins
+    interest row interest_rows[j] to item row item_rows[j], each distinct pair
+    listed once. Of the num_interest_rows interests, those in no pair are
     skipped and counted. Returns (score, skipped).
     """
-    labels = assignment.labels
-    hits = total = skipped = 0
-    for interest_row in sorted(interest_items):
-        item_rows = interest_items[interest_row]
-        if len(item_rows) == 0:
-            skipped += 1
-            continue
-        for row in item_rows:
-            hits += int(labels[interest_row] == labels[row])
-            total += 1
-    if total == 0:
+    if len(interest_rows) == 0:
         raise ValueError("no (interest, positive item) pairs to score")
-    return hits / total, skipped
+    hits = int(np.count_nonzero(labels[interest_rows] == labels[item_rows]))
+    skipped = num_interest_rows - len(np.unique(interest_rows))
+    return hits / len(interest_rows), skipped
 
 
-def intra_score(per_user_labels, num_interests):
+def intra_score(labels):
     """Fraction of users whose interests land in pairwise-distinct clusters.
 
-    per_user_labels: per user, the cluster labels of that user's interest
-    vectors. Degenerate clusterings with fewer than num_interests distinct
-    labels count as not-distinct by construction.
+    labels: (users, num_interests) cluster labels of each user's interest
+    vectors, one row per user.
     """
-    if not per_user_labels:
+    if len(labels) == 0:
         raise ValueError("no users to score")
-    distinct = sum(1 for labels in per_user_labels
-                   if len(set(int(l) for l in labels)) == num_interests)
-    return distinct / len(per_user_labels)
+    distinct = np.all(np.diff(np.sort(labels, axis=1), axis=1) != 0, axis=1)
+    return int(np.count_nonzero(distinct)) / len(labels)
 
 
 def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
@@ -202,11 +194,12 @@ def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
     # global matrix: all interests first, then the distinct items in first-seen order
     n_interest_rows = n_z * len(users)
     items = list(dict.fromkeys(itertools.chain.from_iterable(user_items)))
-    item_rows = {item: n_interest_rows + r for r, item in enumerate(items)}
     matrix = np.vstack([interests.reshape(n_interest_rows, -1), emb[items]])
-    interest_items = {
-        row: [item_rows[i] for i in np.unique(ids[row // n_z, pos]).tolist()]
-        for row, pos in enumerate(pos_mask.reshape(n_interest_rows, -1))}
+    item_row = np.zeros(emb.shape[0], dtype=np.intp)  # catalog item -> matrix row
+    item_row[items] = np.arange(n_interest_rows, matrix.shape[0])
+    # each distinct (interest row, positive item row) pair once
+    rows, pos = np.nonzero(pos_mask.reshape(n_interest_rows, -1))
+    pairs = np.unique(np.stack([rows, item_row[ids[rows // n_z, pos]]], axis=1), axis=0)
     if k_global is None:
         k_global = min(n_interest_rows, 64)
     by_interests = init_mode == "user_interests"
@@ -217,19 +210,17 @@ def diagnose(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
         chosen = np.random.default_rng(seed).choice(
             n_interest_rows, size=k_global, replace=False)
         global_seeds = matrix[np.sort(chosen)]
-    assignment = kmeans(matrix, k_global, seed=seed, init_centroids=global_seeds)
-    inter, skipped = inter_score(assignment, interest_items)
+    labels = kmeans(matrix, k_global, seed=seed, init_centroids=global_seeds).labels
+    inter, skipped = inter_score(labels, pairs[:, 0], pairs[:, 1], n_interest_rows)
 
-    per_user_labels = []
-    for z, item_ids in zip(interests, user_items):
-        local = np.vstack([z, emb[item_ids]])
-        local_assign = kmeans(local, n_z, seed=seed,
-                              init_centroids=z if by_interests else None)
-        per_user_labels.append(local_assign.labels[:n_z])
-    intra = intra_score(per_user_labels, n_z)
-    return DiagnosticsReport(inter=inter, intra=intra, k_global=k_global,
-                             init_mode=init_mode, users=len(users),
-                             skipped_interests=skipped,
+    local_labels = np.array([
+        kmeans(np.vstack([z, emb[item_ids]]), n_z, seed=seed,
+               init_centroids=z if by_interests else None).labels[:n_z]
+        for z, item_ids in zip(interests, user_items)])
+    return DiagnosticsReport(inter=inter, intra=intra_score(local_labels),
+                             k_global=k_global, init_mode=init_mode,
+                             users=len(users), skipped_interests=skipped,
+                             k_nonempty=len(np.unique(labels)),
                              user_interests=dict(zip(users, interests)))
 
 
@@ -255,4 +246,5 @@ def report_record(report):
     """Single-line machine-readable diagnostics record."""
     return (f"inter={report.inter:.6f} intra={report.intra:.6f} "
             f"k_global={report.k_global} init={report.init_mode} "
-            f"users={report.users} skipped_interests={report.skipped_interests}")
+            f"users={report.users} skipped_interests={report.skipped_interests} "
+            f"k_nonempty={report.k_nonempty}")

@@ -60,6 +60,11 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_every < 0 or self.patience < 0:
             raise ValueError("eval_every and patience must be >= 0")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        for name in ("weight_decay", "clip_norm"):  # clip_norm 0 disables clipping
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -102,7 +102,12 @@ def test_synth_rejects_zero_users_by_name(tmp_path, monkeypatch, capsys):
     (["lr=1e200", "weight_decay=0", "clip_norm=0"],
      r"epoch 1 step \d+: non-finite loss component rec"),
     (["embed_dim=0"], "embed_dim"),
-], ids=["non-finite-loss", "zero-embed-dim"])
+    (["lr=-0.01"], "lr must be > 0"),
+    (["seed=-1"], "config key 'seed': must be >= 0"),
+    (["train_ratio=1.2", "valid_ratio=-0.1", "test_ratio=-0.1"],
+     r"config key 'train_ratio': must be in \[0, 1\]"),
+], ids=["non-finite-loss", "zero-embed-dim", "negative-lr", "negative-seed",
+        "ratio-above-one"])
 def test_failed_train_leaves_the_previous_run_intact(tmp_path, monkeypatch, capsys,
                                                      bad, message):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))

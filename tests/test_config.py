@@ -121,6 +121,23 @@ def test_holdout_frac_outside_open_unit_interval_rejected_by_key():
             cm.default_config([f"holdout_frac={bad}"])
 
 
+def test_negative_seed_rejected_by_key():
+    assert cm.default_config(["seed=0"]).seed == 0
+    for bad in ("-1", "-7"):
+        with pytest.raises(ValueError, match="config key 'seed': must be >= 0"):
+            cm.default_config([f"seed={bad}"])
+
+
+def test_split_ratio_outside_unit_interval_rejected_by_key():
+    cfg = cm.default_config(["train_ratio=1", "valid_ratio=0", "test_ratio=0.0"])
+    assert (cfg.train_ratio, cfg.valid_ratio, cfg.test_ratio) == (1.0, 0.0, 0.0)
+    for key in ("train_ratio", "valid_ratio", "test_ratio"):
+        for bad in ("-0.1", "1.2", "-1e-300"):
+            with pytest.raises(ValueError,
+                               match=rf"config key '{key}': must be in \[0, 1\]"):
+                cm.default_config([f"{key}={bad}"])
+
+
 def test_diag_k_below_two_rejected_by_key():
     assert cm.default_config(["diag_k=2"]).diag_k == 2
     assert cm.default_config(["diag_k=none"]).diag_k is None

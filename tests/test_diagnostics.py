@@ -1,7 +1,12 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from mirec import diagnostics as dg
+from mirec import evaluation
+from mirec.losses import select_positives_batch
 from mirec.data import SyntheticSpec, generate_synthetic, split
 from mirec.model import HyperParams, ModelParams
 
@@ -107,39 +112,36 @@ def test_kmeans_deterministic_given_seed():
     assert a.objective == b.objective
 
 
-class FakeAssignment:
-    def __init__(self, labels):
-        self.labels = np.asarray(labels)
-
-
 def test_inter_score_perfect_coclustering():
-    a = FakeAssignment([0, 1, 0, 0, 1, 1])
-    score, skipped = dg.inter_score(a, {0: [2, 3], 1: [4, 5]})
+    labels = np.array([0, 1, 0, 0, 1, 1])
+    score, skipped = dg.inter_score(labels, np.array([0, 0, 1, 1]),
+                                    np.array([2, 3, 4, 5]), 2)
     assert score == 1.0 and skipped == 0
 
 
 def test_inter_score_counts_skipped_interests():
-    a = FakeAssignment([0, 1, 0, 1])
-    score, skipped = dg.inter_score(a, {0: [2], 1: []})
+    labels = np.array([0, 1, 0, 1])
+    score, skipped = dg.inter_score(labels, np.array([0]), np.array([2]), 2)
     assert score == 1.0 and skipped == 1
 
 
 def test_inter_score_error_without_pairs():
-    a = FakeAssignment([0, 1])
+    no_rows = np.array([], dtype=np.intp)
     with pytest.raises(ValueError, match="no .*pairs"):
-        dg.inter_score(a, {0: [], 1: []})
+        dg.inter_score(np.array([0, 1]), no_rows, no_rows, 2)
 
 
 def test_inter_score_random_labels_near_one_over_k():
     rng = np.random.default_rng(6)
     k = 4
     n_interests, n_items = 10, 40
-    pairs = {i: list(range(n_interests + i * 4, n_interests + i * 4 + 4))
-             for i in range(n_interests)}
+    # interest i is paired with the four item rows after the interests at 4 i
+    interest_rows = np.repeat(np.arange(n_interests), 4)
+    item_rows = n_interests + np.arange(n_items)
     scores = []
     for _ in range(1000):
         labels = rng.integers(0, k, size=n_interests + n_items)
-        s, _ = dg.inter_score(FakeAssignment(labels), pairs)
+        s, _ = dg.inter_score(labels, interest_rows, item_rows, n_interests)
         scores.append(s)
     mean = np.mean(scores)
     sem = np.std(scores) / np.sqrt(len(scores))
@@ -147,11 +149,11 @@ def test_inter_score_random_labels_near_one_over_k():
 
 
 def test_intra_score_trivials():
-    assert dg.intra_score([[0, 0], [1, 1]], 2) == 0.0
-    assert dg.intra_score([[0, 1], [1, 0]], 2) == 1.0
-    assert dg.intra_score([[0, 1], [0, 0]], 2) == 0.5
+    assert dg.intra_score(np.array([[0, 0], [1, 1]])) == 0.0
+    assert dg.intra_score(np.array([[0, 1], [1, 0]])) == 1.0
+    assert dg.intra_score(np.array([[0, 1], [0, 0]])) == 0.5
     with pytest.raises(ValueError, match="no users"):
-        dg.intra_score([], 2)
+        dg.intra_score(np.empty((0, 2), dtype=np.intp))
 
 
 def _tiny_world(seed=0):
@@ -200,8 +202,36 @@ def test_diagnose_record_line():
     rep = dg.diagnose(params, sp.test, hp, seed=0)
     line = dg.report_record(rep)
     assert line.count("\n") == 0
-    for key in ("inter=", "intra=", "k_global=", "init=", "users="):
+    for key in ("inter=", "intra=", "k_global=", "init=", "users=",
+                "skipped_interests=", "k_nonempty="):
         assert key in line
+    assert line.endswith(f" skipped_interests={rep.skipped_interests} "
+                         f"k_nonempty={rep.k_nonempty}")
+    assert 1 <= rep.k_nonempty <= rep.k_global
+
+
+def test_diagnose_counts_a_repeated_profile_item_once(monkeypatch):
+    # every valid position clears the threshold, so each interest is paired
+    # with each distinct item of its profile, however often the item repeats
+    hp = HyperParams(embed_dim=4, att_hidden_dim=4, recon_hidden_dim=2,
+                     num_interests=2, max_seq_len=6, pos_threshold=1e-9)
+    params = ModelParams.init(10, hp, np.random.default_rng(0))
+    part = {0: ([3, 3, 5, 3], [7]), 1: ([1, 2], [4])}
+    seen = []
+    inter_score = dg.inter_score
+
+    def recording(labels, interest_rows, item_rows, num_interest_rows):
+        seen.append((interest_rows.tolist(), item_rows.tolist()))
+        return inter_score(labels, interest_rows, item_rows, num_interest_rows)
+
+    monkeypatch.setattr(dg, "inter_score", recording)
+    rep = dg.diagnose(params, part, hp)
+    # matrix rows: interests 0-3, then items 3, 5, 7, 1, 2, 4 at rows 4-9
+    (interest_rows, item_rows), = seen
+    assert sorted(zip(interest_rows, item_rows)) == [
+        (0, 4), (0, 5), (1, 4), (1, 5), (2, 7), (2, 8), (3, 7), (3, 8)]
+    assert rep.skipped_interests == 0
+    assert rep == diagnose_reference(params, part, hp)
 
 
 def test_export_five_rows_for_one_user_three_items(tmp_path):
@@ -455,3 +485,126 @@ def test_diagnose_clusters_globally_first(monkeypatch, init_mode):
     for (profile, holdout), (rows, k) in zip((sp.test[u] for u in sorted(sp.test)), calls[1:]):
         assert (rows, k) == (hp.num_interests + len(set(profile) | set(holdout)),
                              hp.num_interests)
+
+
+# Reference INTER / INTRA bookkeeping, verbatim from before diagnose scored
+# from arrays (it gains only the k_nonempty count): per-interest item lists
+# in a dict, a dict of item rows, a loop over pairs and a set per user.
+# diagnose must report the same fields on every input.
+kmeans = dg.kmeans
+DiagnosticsReport = dg.DiagnosticsReport
+
+
+def inter_score_reference(assignment, interest_items):
+    """Fraction of (interest, positive item) pairs sharing a cluster.
+
+    interest_items maps an interest row index (into the clustered matrix) to
+    the row indices of its positive items. Interests with no positives are
+    skipped and counted. Returns (score, skipped).
+    """
+    labels = assignment.labels
+    hits = total = skipped = 0
+    for interest_row in sorted(interest_items):
+        item_rows = interest_items[interest_row]
+        if len(item_rows) == 0:
+            skipped += 1
+            continue
+        for row in item_rows:
+            hits += int(labels[interest_row] == labels[row])
+            total += 1
+    if total == 0:
+        raise ValueError("no (interest, positive item) pairs to score")
+    return hits / total, skipped
+
+
+def intra_score_reference(per_user_labels, num_interests):
+    """Fraction of users whose interests land in pairwise-distinct clusters.
+
+    per_user_labels: per user, the cluster labels of that user's interest
+    vectors. Degenerate clusterings with fewer than num_interests distinct
+    labels count as not-distinct by construction.
+    """
+    if not per_user_labels:
+        raise ValueError("no users to score")
+    distinct = sum(1 for labels in per_user_labels
+                   if len(set(int(l) for l in labels)) == num_interests)
+    return distinct / len(per_user_labels)
+
+
+def diagnose_reference(params, part, hp, k_global=None, init_mode="kmeanspp", seed=0):
+    """INTER and INTRA scores over a (profile, holdout) split part.
+
+    init_mode "user_interests" seeds the clusterings from interest vectors;
+    "kmeanspp", the other mode the config accepts, seeds them by k-means++.
+    k_global is capped at the rows it may seed from; the report holds the count used.
+    """
+    if not part:
+        raise ValueError("empty split part")
+    users = sorted(part)
+    n_z = hp.num_interests
+    emb = params.item_emb.value
+
+    interests, attention, ids, mask = evaluation.user_interests_for_profile(
+        [part[user][0] for user in users], params, hp.max_seq_len)
+    pos_mask, _ = select_positives_batch(attention, mask, hp.pos_threshold)
+    user_items = [sorted(set(part[user][0]) | set(part[user][1])) for user in users]
+    # global matrix: all interests first, then the distinct items in first-seen order
+    n_interest_rows = n_z * len(users)
+    items = list(dict.fromkeys(itertools.chain.from_iterable(user_items)))
+    item_rows = {item: n_interest_rows + r for r, item in enumerate(items)}
+    matrix = np.vstack([interests.reshape(n_interest_rows, -1), emb[items]])
+    interest_items = {
+        row: [item_rows[i] for i in np.unique(ids[row // n_z, pos]).tolist()]
+        for row, pos in enumerate(pos_mask.reshape(n_interest_rows, -1))}
+    if k_global is None:
+        k_global = min(n_interest_rows, 64)
+    by_interests = init_mode == "user_interests"
+    k_global = min(k_global, n_interest_rows if by_interests else matrix.shape[0])
+    global_seeds = None
+    if by_interests:
+        # seed the global clustering with a sample of the interest rows
+        chosen = np.random.default_rng(seed).choice(
+            n_interest_rows, size=k_global, replace=False)
+        global_seeds = matrix[np.sort(chosen)]
+    assignment = kmeans(matrix, k_global, seed=seed, init_centroids=global_seeds)
+    inter, skipped = inter_score_reference(assignment, interest_items)
+
+    per_user_labels = []
+    for z, item_ids in zip(interests, user_items):
+        local = np.vstack([z, emb[item_ids]])
+        local_assign = kmeans(local, n_z, seed=seed,
+                              init_centroids=z if by_interests else None)
+        per_user_labels.append(local_assign.labels[:n_z])
+    intra = intra_score_reference(per_user_labels, n_z)
+    return DiagnosticsReport(inter=inter, intra=intra, k_global=k_global,
+                             init_mode=init_mode, users=len(users),
+                             skipped_interests=skipped,
+                             k_nonempty=len(set(assignment.labels.tolist())),
+                             user_interests=dict(zip(users, interests)))
+
+
+# a 0.12 threshold leaves 1-4 interests without positives on these worlds
+@pytest.mark.parametrize("pos_threshold", ["adaptive", 0.12])
+@pytest.mark.parametrize("init_mode", ["kmeanspp", "user_interests"])
+@pytest.mark.parametrize("seed", range(5))
+def test_diagnose_equals_reference_bookkeeping(seed, init_mode, pos_threshold):
+    sp, hp, params = _tiny_world(seed)
+    hp = dataclasses.replace(hp, pos_threshold=pos_threshold)
+    got = dg.diagnose(params, sp.test, hp, init_mode=init_mode, seed=seed)
+    want = diagnose_reference(params, sp.test, hp, init_mode=init_mode, seed=seed)
+    for name in ("inter", "intra", "k_global", "init_mode", "users",
+                 "skipped_interests", "k_nonempty"):
+        assert (name, getattr(got, name)) == (name, getattr(want, name))
+        assert type(getattr(got, name)) is type(getattr(want, name))
+    assert got.user_interests.keys() == want.user_interests.keys()
+    for user, z in want.user_interests.items():
+        assert got.user_interests[user].tobytes() == z.tobytes()
+    assert dg.report_record(got) == dg.report_record(want)
+
+
+def test_diagnose_without_pairs_refused_like_the_reference():
+    sp, hp, params = _tiny_world(0)
+    hp = dataclasses.replace(hp, pos_threshold=0.2)
+    for scorer in (dg.diagnose, diagnose_reference):
+        with pytest.raises(ValueError, match=r"no \(interest, positive item\) pairs"):
+            scorer(params, sp.test, hp)

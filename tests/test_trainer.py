@@ -288,13 +288,14 @@ def test_training_reduces_rec_loss():
     assert res.history[-1]["rec"] < res.history[0]["rec"]
 
 
-def test_early_stop_on_flat_validation():
+def test_early_stop_on_flat_validation(monkeypatch):
     sp, num_items = tiny_split(5, users=30)
     hp = tiny_hp()
-    # lr=0 keeps params frozen, so validation recall never improves after
-    # the first evaluation and patience kicks in
+    # an Adam step that does nothing keeps params frozen, so validation recall
+    # never improves after the first evaluation and patience kicks in
+    monkeypatch.setattr(tr, "adam_step", lambda params, grads, state: None)
     cfg = tr.TrainConfig(epochs=50, batch_size=16, seed=0, eval_every=1,
-                         patience=3, lr=0.0, weight_decay=0.0)
+                         patience=3)
     params = ModelParams.init(num_items, hp, np.random.default_rng(1))
     res = tr.train(sp, params, hp, cfg)
     assert res.stopped_early
@@ -339,3 +340,11 @@ def test_train_config_validation():
         tr.TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="batch_size"):
         tr.TrainConfig(batch_size=0)
+    assert tr.TrainConfig(clip_norm=0.0, weight_decay=0.0).clip_norm == 0.0
+    for kwargs, name in (({"lr": 0.0}, "lr must be > 0"),
+                         ({"lr": -0.01}, "lr must be > 0"),
+                         ({"weight_decay": -1e-5}, "weight_decay must be >= 0"),
+                         ({"clip_norm": -1.0}, "clip_norm must be >= 0")):
+        with pytest.raises(ValueError, match=name):
+            tr.TrainConfig(**kwargs)
+
