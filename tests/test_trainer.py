@@ -347,4 +347,3 @@ def test_train_config_validation():
                          ({"clip_norm": -1.0}, "clip_norm must be >= 0")):
         with pytest.raises(ValueError, match=name):
             tr.TrainConfig(**kwargs)
-
